@@ -38,6 +38,10 @@ import (
 	"facil/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so a stalled connection cannot hold a server goroutine.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	os.Exit(mainErr())
 }
@@ -66,7 +70,7 @@ func mainErr() int {
 		OutDir:      *outDir,
 		DrainOutage: *drainOutage,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -110,6 +110,22 @@ func TestSubmitRejectsBadScenarios(t *testing.T) {
 	}
 }
 
+// TestOversizedBodyRejected pins the request-body bound on both
+// scenario endpoints: a body past maxScenarioBytes answers 413 and
+// queues nothing.
+func TestOversizedBodyRejected(t *testing.T) {
+	s, ts := testServer(t, Options{})
+	body := `{"rates": "` + strings.Repeat("1,", maxScenarioBytes) + `1"}`
+	for _, path := range []string{"/runs", "/reload"} {
+		if _, resp := postScenario(t, ts.URL, path, body); resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", path, len(body), resp.StatusCode)
+		}
+	}
+	if runs := s.Runs(); len(runs) != 0 {
+		t.Errorf("oversized bodies queued runs: %+v", runs)
+	}
+}
+
 func TestExperimentsEndpointMatchesCatalog(t *testing.T) {
 	_, ts := testServer(t, Options{})
 	resp, err := http.Get(ts.URL + "/experiments")

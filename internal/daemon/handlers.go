@@ -140,11 +140,32 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxScenarioBytes bounds a POSTed scenario body. Real scenarios are a
+// few hundred bytes; the bound stops an oversized body from holding
+// daemon memory.
+const maxScenarioBytes = 1 << 20
+
+// decodeScenario reads a POSTed scenario body. It answers 413 when the
+// body exceeds maxScenarioBytes and 400 when it does not parse, and
+// reports whether the handler should go on.
+func decodeScenario(w http.ResponseWriter, r *http.Request) (run.Scenario, bool) {
+	sc, err := run.Decode(http.MaxBytesReader(w, r.Body, maxScenarioBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, err)
+		return run.Scenario{}, false
+	}
+	return sc, true
+}
+
 // handleSubmit enqueues the POSTed scenario.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	sc, err := run.Decode(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	sc, ok := decodeScenario(w, r)
+	if !ok {
 		return
 	}
 	rec, err := s.Submit(sc)
@@ -157,9 +178,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // handleReload swaps the pending queue for the POSTed scenario.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
-	sc, err := run.Decode(r.Body)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	sc, ok := decodeScenario(w, r)
+	if !ok {
 		return
 	}
 	rec, err := s.Reload(sc)

@@ -3,134 +3,94 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"facil/internal/soc"
 	"facil/internal/workload"
 )
 
 // Run executes an experiment by its DESIGN.md identifier and returns the
-// rendered tables. Ported experiments fan their sweep points out over the
-// lab's worker pool and honor ctx cancellation between points.
+// rendered tables. No experiment starts under an already-cancelled ctx;
+// ported experiments fan their sweep points out over the lab's worker
+// pool and honor ctx cancellation between points.
 func (l *Lab) Run(ctx context.Context, id string) ([]Table, error) {
-	runner, ok := registry[id]
+	e, ok := lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown experiment %q (known: %v)", id, IDs())
 	}
-	return runner(ctx, l)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return e.run(ctx, l)
 }
 
-// IDs lists the registered experiment identifiers.
+// IDs lists the registered experiment identifiers in sorted order.
 func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := slices.Clone(AllIDs)
+	slices.Sort(ids)
 	return ids
 }
 
-// runner produces one experiment's tables under a cancellation context.
-type runner func(ctx context.Context, l *Lab) ([]Table, error)
-
-// one adapts a serial (context-free) single-table experiment.
-func one(f func(l *Lab) (Table, error)) runner {
-	return func(ctx context.Context, l *Lab) ([]Table, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t, err := f(l)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{t}, nil
-	}
+// experiment is one registry entry: the identifier, its one-line title
+// and the runner producing its tables under a cancellation context.
+type experiment struct {
+	id, title string
+	run       func(ctx context.Context, l *Lab) ([]Table, error)
 }
 
-// onectx adapts a ctx-aware single-table experiment.
-func onectx(f func(l *Lab, ctx context.Context) (Table, error)) runner {
-	return func(ctx context.Context, l *Lab) ([]Table, error) {
-		t, err := f(l, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return []Table{t}, nil
+// single wraps a one-table experiment's result.
+func single(t Table, err error) ([]Table, error) {
+	if err != nil {
+		return nil, err
 	}
+	return []Table{t}, nil
 }
 
-var registry = map[string]runner{
-	"fig2a": one((*Lab).Fig2a),
-	"fig2b": one((*Lab).Fig2b),
-	"fig3":  one((*Lab).Fig3),
-	"fig6":  one((*Lab).Fig6),
-	"tab1": onectx(func(l *Lab, ctx context.Context) (Table, error) {
-		return l.Table1(ctx, DefaultTable1Config())
-	}),
-	"tab2": func(ctx context.Context, l *Lab) ([]Table, error) {
+// experiments is the registry, in DESIGN.md order. AllIDs, Catalog,
+// Known and IDs all derive from it, so listings cannot drift from the
+// runners.
+var experiments = []experiment{
+	{"fig2a", "decode time breakdown (motivation)", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(l.Fig2a())
+	}},
+	{"fig2b", "GEMV utilization across PIM configs (motivation)", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(l.Fig2b())
+	}},
+	{"fig3", "PIM speedup potential over SoC decode (motivation)", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(l.Fig3())
+	}},
+	{"fig6", "TTFT increase from weight re-layout (motivation)", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(l.Fig6())
+	}},
+	{"tab1", "huge-page load time under memory fragmentation", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(l.Table1(ctx, DefaultTable1Config()))
+	}},
+	{"tab2", "evaluated platforms and their PIM configurations", func(ctx context.Context, l *Lab) ([]Table, error) {
 		return []Table{Table2()}, nil
-	},
-	"tab3": onectx(func(l *Lab, ctx context.Context) (Table, error) {
-		return l.Table3(ctx, soc.LayoutSlowdownConfig{})
-	}),
-	"fig13": onectx((*Lab).Fig13),
-	"fig14": func(ctx context.Context, l *Lab) ([]Table, error) {
+	}},
+	{"tab3", "GEMM slowdown on the PIM-optimized layout", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(l.Table3(ctx, soc.LayoutSlowdownConfig{}))
+	}},
+	{"fig13", "single-query TTFT speedup vs baselines", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(l.Fig13(ctx))
+	}},
+	{"fig14", "single-query TTLT speedup per platform", func(ctx context.Context, l *Lab) ([]Table, error) {
 		return sweep(ctx, l, "fig14 platforms", soc.All(), func(ctx context.Context, p soc.Platform) (Table, error) {
 			return l.Fig14(ctx, p)
 		})
-	},
-	"fig15": func(ctx context.Context, l *Lab) ([]Table, error) {
+	}},
+	{"fig15", "dataset TTFT distributions (Alpaca, autocomplete)", func(ctx context.Context, l *Lab) ([]Table, error) {
 		return l.datasetPair(ctx, (*Lab).Fig15)
-	},
-	"fig16": func(ctx context.Context, l *Lab) ([]Table, error) {
+	}},
+	{"fig16", "dataset TTLT distributions (Alpaca, autocomplete)", func(ctx context.Context, l *Lab) ([]Table, error) {
 		return l.datasetPair(ctx, (*Lab).Fig16)
-	},
-	"cosched": func(ctx context.Context, l *Lab) ([]Table, error) {
-		t, err := Cosched()
-		if err != nil {
-			return nil, err
-		}
-		return []Table{t}, nil
-	},
-	"quant": func(ctx context.Context, l *Lab) ([]Table, error) {
-		t, err := Quant()
-		if err != nil {
-			return nil, err
-		}
-		return []Table{t}, nil
-	},
-	"pimstyle": func(ctx context.Context, l *Lab) ([]Table, error) {
-		t, err := PIMStyle()
-		if err != nil {
-			return nil, err
-		}
-		return []Table{t}, nil
-	},
-	"energy": one((*Lab).Energy),
-	"serving": onectx(func(l *Lab, ctx context.Context) (Table, error) {
-		return l.Serving(ctx)
-	}),
-	"serving2": onectx(func(l *Lab, ctx context.Context) (Table, error) {
-		return l.Serving2(ctx, DefaultServing2Config())
-	}),
-	"resilience": onectx(func(l *Lab, ctx context.Context) (Table, error) {
-		return l.Resilience(ctx, DefaultResilienceConfig())
-	}),
-	"cluster": func(ctx context.Context, l *Lab) ([]Table, error) {
-		return l.Cluster(ctx, DefaultClusterConfig())
-	},
-	"maptune": func(ctx context.Context, l *Lab) ([]Table, error) {
-		return l.MapTune(ctx, DefaultMapTuneConfig())
-	},
-	"maxmap": func(ctx context.Context, l *Lab) ([]Table, error) {
-		t, err := MaxMapID()
-		if err != nil {
-			return nil, err
-		}
-		return []Table{t}, nil
-	},
+	}},
+	{"maxmap", "largest MapID the mapping family needs", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(MaxMapID())
+	}},
 	// The eight ablation studies run as sweep points of their own (each
 	// internally fanning out further), reducing in the fixed table order.
-	"ablations": func(ctx context.Context, l *Lab) ([]Table, error) {
+	{"ablations", "eight design-choice ablation studies", func(ctx context.Context, l *Lab) ([]Table, error) {
 		studies := []func(context.Context) (Table, error){
 			func(ctx context.Context) (Table, error) { return l.AblationRelayoutPolicy() },
 			l.AblationDynamicThreshold,
@@ -144,7 +104,43 @@ var registry = map[string]runner{
 		return sweep(ctx, l, "ablations", studies, func(ctx context.Context, f func(context.Context) (Table, error)) (Table, error) {
 			return f(ctx)
 		})
-	},
+	}},
+	{"cosched", "SoC/PIM co-scheduled memory-controller interleaving", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(Cosched())
+	}},
+	{"quant", "weight-quantization sensitivity", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(Quant())
+	}},
+	{"pimstyle", "PIM microarchitecture style comparison", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(PIMStyle())
+	}},
+	{"energy", "per-token energy model", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(l.Energy())
+	}},
+	{"serving", "closed-form serving queue (legacy extension)", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(l.Serving(ctx))
+	}},
+	{"serving2", "event-driven cooperative serving sweep", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(l.Serving2(ctx, DefaultServing2Config()))
+	}},
+	{"resilience", "fault-injection and degradation-policy sweep", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return single(l.Resilience(ctx, DefaultResilienceConfig()))
+	}},
+	{"cluster", "fleet-scale heterogeneous serving with routing strategies", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return l.Cluster(ctx, DefaultClusterConfig())
+	}},
+	{"maptune", "auto-tuned PA-to-DA mappings vs the fixed MapID family", func(ctx context.Context, l *Lab) ([]Table, error) {
+		return l.MapTune(ctx, DefaultMapTuneConfig())
+	}},
+}
+
+// lookup finds the registry entry for id.
+func lookup(id string) (experiment, bool) {
+	i := slices.IndexFunc(experiments, func(e experiment) bool { return e.id == id })
+	if i < 0 {
+		return experiment{}, false
+	}
+	return experiments[i], true
 }
 
 // datasetPair evaluates a figure over both paper datasets.
@@ -161,14 +157,13 @@ func (l *Lab) datasetPair(ctx context.Context, f func(*Lab, context.Context, wor
 }
 
 // AllIDs is the DESIGN.md experiment order for "run everything".
-var AllIDs = []string{
-	"fig2a", "fig2b", "fig3", "fig6",
-	"tab1", "tab2", "tab3",
-	"fig13", "fig14", "fig15", "fig16",
-	"maxmap", "ablations",
-	"cosched", "quant", "pimstyle", "energy", "serving", "serving2", "resilience",
-	"cluster", "maptune",
-}
+var AllIDs = func() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}()
 
 // Info describes one registered experiment for listings: the identifier
 // plus a one-line title. `facilsim -list` and the daemon's
@@ -181,45 +176,18 @@ type Info struct {
 	Title string `json:"title"`
 }
 
-// titles carries the one-line description of every registered
-// experiment; TestCatalogCoversRegistry pins the 1:1 correspondence.
-var titles = map[string]string{
-	"fig2a":      "decode time breakdown (motivation)",
-	"fig2b":      "GEMV utilization across PIM configs (motivation)",
-	"fig3":       "PIM speedup potential over SoC decode (motivation)",
-	"fig6":       "TTFT increase from weight re-layout (motivation)",
-	"tab1":       "huge-page load time under memory fragmentation",
-	"tab2":       "evaluated platforms and their PIM configurations",
-	"tab3":       "GEMM slowdown on the PIM-optimized layout",
-	"fig13":      "single-query TTFT speedup vs baselines",
-	"fig14":      "single-query TTLT speedup per platform",
-	"fig15":      "dataset TTFT distributions (Alpaca, autocomplete)",
-	"fig16":      "dataset TTLT distributions (Alpaca, autocomplete)",
-	"maxmap":     "largest MapID the mapping family needs",
-	"ablations":  "eight design-choice ablation studies",
-	"cosched":    "SoC/PIM co-scheduled memory-controller interleaving",
-	"quant":      "weight-quantization sensitivity",
-	"pimstyle":   "PIM microarchitecture style comparison",
-	"energy":     "per-token energy model",
-	"serving":    "closed-form serving queue (legacy extension)",
-	"serving2":   "event-driven cooperative serving sweep",
-	"resilience": "fault-injection and degradation-policy sweep",
-	"cluster":    "fleet-scale heterogeneous serving with routing strategies",
-	"maptune":    "auto-tuned PA-to-DA mappings vs the fixed MapID family",
-}
-
 // Catalog returns every registered experiment in DESIGN.md order with
 // its one-line title — the single source for CLI and daemon listings.
 func Catalog() []Info {
-	out := make([]Info, 0, len(AllIDs))
-	for _, id := range AllIDs {
-		out = append(out, Info{ID: id, Title: titles[id]})
+	out := make([]Info, len(experiments))
+	for i, e := range experiments {
+		out[i] = Info{ID: e.id, Title: e.title}
 	}
 	return out
 }
 
 // Known reports whether id names a registered experiment.
 func Known(id string) bool {
-	_, ok := registry[id]
+	_, ok := lookup(id)
 	return ok
 }

@@ -2,44 +2,19 @@ package exp
 
 import "testing"
 
-// TestCatalogCoversRegistry pins the single-source-of-truth invariant
-// behind every experiment listing: AllIDs, the registry map and the
-// Catalog titles describe exactly the same identifier set, so the CLI
-// -list output and the daemon /experiments endpoint cannot drift.
-func TestCatalogCoversRegistry(t *testing.T) {
-	if len(AllIDs) != len(registry) {
-		t.Errorf("AllIDs has %d entries, registry %d", len(AllIDs), len(registry))
-	}
+// TestExperimentsUnique pins the one property the ordered registry
+// cannot enforce by construction: every identifier appears once and
+// carries a title, so -list and GET /experiments name each experiment
+// exactly once.
+func TestExperimentsUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, id := range AllIDs {
-		if seen[id] {
-			t.Errorf("AllIDs lists %q twice", id)
+	for _, e := range experiments {
+		if seen[e.id] {
+			t.Errorf("experiment %q registered twice", e.id)
 		}
-		seen[id] = true
-		if !Known(id) {
-			t.Errorf("AllIDs lists %q but the registry does not know it", id)
-		}
-	}
-	for id := range registry {
-		if !seen[id] {
-			t.Errorf("registry id %q missing from AllIDs", id)
-		}
-	}
-	cat := Catalog()
-	if len(cat) != len(AllIDs) {
-		t.Fatalf("Catalog has %d entries, want %d", len(cat), len(AllIDs))
-	}
-	for i, info := range cat {
-		if info.ID != AllIDs[i] {
-			t.Errorf("Catalog[%d].ID = %q, want %q", i, info.ID, AllIDs[i])
-		}
-		if info.Title == "" {
-			t.Errorf("experiment %q has no title", info.ID)
-		}
-	}
-	for id := range titles {
-		if !Known(id) {
-			t.Errorf("title for unknown experiment %q", id)
+		seen[e.id] = true
+		if e.title == "" {
+			t.Errorf("experiment %q has no title", e.id)
 		}
 	}
 }

@@ -62,8 +62,8 @@ func New(opts Options) *Engine {
 	return &Engine{lab: lab, tool: tool, par: opts.Parallelism, tracer: opts.Tracer}
 }
 
-// Lab exposes the engine's shared Lab (tests and the bench path reuse
-// its cached Systems).
+// Lab exposes the engine's shared Lab (tests and benchmarks reuse its
+// cached Systems).
 func (e *Engine) Lab() *exp.Lab { return e.lab }
 
 // Tracer returns the tracer the engine was built with (nil = off).
@@ -191,8 +191,12 @@ func (e *Engine) launch(ctx context.Context, ids []string, sc Scenario) []pendin
 }
 
 // runOne dispatches one experiment, honoring the scenario's overrides
-// for the parameterizable ones.
+// for the parameterizable ones. A negative size fails the experiment
+// rather than falling back to its default.
 func (e *Engine) runOne(ctx context.Context, id string, sc Scenario) ([]exp.Table, error) {
+	if err := sc.checkSizes(); err != nil {
+		return nil, err
+	}
 	switch id {
 	case "tab1":
 		cfg := exp.DefaultTable1Config()

@@ -113,10 +113,25 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("unknown stealscore accepted")
 	}
-	bad = DefaultScenario()
-	bad.TuneBudget = -3
-	if err := bad.Validate(); err == nil {
-		t.Error("negative tunebudget accepted")
+	// 0 selects each size's default, so a negative size must be
+	// rejected, not silently replaced by the default.
+	for _, c := range []struct {
+		field string
+		set   func(*Scenario)
+	}{
+		{"queries", func(sc *Scenario) { sc.Queries = -5 }},
+		{"devices", func(sc *Scenario) { sc.Devices = -1 }},
+		{"scale", func(sc *Scenario) { sc.Scale = -8 }},
+		{"rate", func(sc *Scenario) { sc.Rate = -0.5 }},
+		{"sync", func(sc *Scenario) { sc.Sync = -1 }},
+		{"tunebudget", func(sc *Scenario) { sc.TuneBudget = -3 }},
+	} {
+		bad = DefaultScenario()
+		c.set(&bad)
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("negative %s: Validate() = %v, want a %s error", c.field, err, c.field)
+		}
 	}
 	ok := DefaultScenario()
 	ok.StealScore = "depth"
@@ -169,6 +184,22 @@ func TestExecuteOrderAndFailures(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rep.Manifest.Experiments, sc.Experiments) {
 		t.Errorf("manifest experiments = %v", rep.Manifest.Experiments)
+	}
+}
+
+// TestExecuteRejectsNegativeSizes covers the CLI path, which skips
+// Validate: a negative size must fail the run loudly instead of running
+// the experiment at its default size.
+func TestExecuteRejectsNegativeSizes(t *testing.T) {
+	sc := DefaultScenario()
+	sc.Experiments = []string{"tab2"}
+	sc.Queries = -5
+	rep, err := cheapEngine(t).Execute(context.Background(), sc, ExecOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rep.Results[0].Error, "bad queries") || rep.Results[0].Tables != nil {
+		t.Errorf("tab2 with queries=-5 = %+v, want a bad-queries error", rep.Results[0])
 	}
 }
 

@@ -224,6 +224,9 @@ func (sc Scenario) Args() []string {
 // surface as per-experiment failures so one typo cannot take down a
 // batch of valid experiments.
 func (sc Scenario) Validate() error {
+	if err := sc.checkSizes(); err != nil {
+		return err
+	}
 	for _, id := range sc.Experiments {
 		if !exp.Known(id) {
 			return fmt.Errorf("run: unknown experiment %q (see -list or GET /experiments)", id)
@@ -244,6 +247,28 @@ func (sc Scenario) Validate() error {
 	mt := exp.DefaultMapTuneConfig()
 	if err := sc.applyMapTune(&mt); err != nil {
 		return err
+	}
+	return nil
+}
+
+// checkSizes rejects negative sizes. 0 already selects the experiment
+// default, so a negative value is a mistake, never a request for the
+// default.
+func (sc Scenario) checkSizes() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"queries", float64(sc.Queries)},
+		{"devices", float64(sc.Devices)},
+		{"scale", float64(sc.Scale)},
+		{"rate", sc.Rate},
+		{"sync", sc.Sync},
+		{"tunebudget", float64(sc.TuneBudget)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("run: bad %s %g (want >= 0)", f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -436,9 +461,6 @@ func (sc Scenario) applyCluster(cfg *exp.ClusterConfig) error {
 
 // applyMapTune folds the scenario's overrides into a maptune config.
 func (sc Scenario) applyMapTune(cfg *exp.MapTuneConfig) error {
-	if sc.TuneBudget < 0 {
-		return fmt.Errorf("run: bad tunebudget %d (want >= 0)", sc.TuneBudget)
-	}
 	if sc.TuneBudget > 0 {
 		cfg.Budget = sc.TuneBudget
 	}
