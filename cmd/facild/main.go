@@ -38,9 +38,30 @@ import (
 	"facil/internal/serve"
 )
 
-// readHeaderTimeout bounds how long a client may take to send request
-// headers, so a stalled connection cannot hold a server goroutine.
-const readHeaderTimeout = 10 * time.Second
+// Server timeouts. There is deliberately no write timeout: GET /trace
+// streams for as long as the client reads.
+const (
+	// readHeaderTimeout bounds how long a client may take to send
+	// request headers, so a stalled connection cannot hold a server
+	// goroutine.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds the whole request, body included, so a client
+	// trickling a scenario body cannot hold a handler goroutine.
+	readTimeout = 30 * time.Second
+	// idleTimeout closes keep-alive connections idle this long.
+	idleTimeout = 60 * time.Second
+)
+
+// newHTTPServer builds the daemon's HTTP server with its timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 func main() {
 	os.Exit(mainErr())
@@ -70,7 +91,7 @@ func mainErr() int {
 		OutDir:      *outDir,
 		DrainOutage: *drainOutage,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	hs := newHTTPServer(*addr, srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

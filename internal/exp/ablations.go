@@ -351,7 +351,6 @@ func AblationXORHashing() (Table, error) {
 // paper's small measured slowdowns.
 func (l *Lab) AblationGEMMStreams(ctx context.Context) (Table, error) {
 	p := soc.Jetson
-	op := soc.Linear{L: 16, In: 4096, Out: 4096, DTypeBytes: 2}
 	tab := Table{
 		ID:     "ablations/gemm-streams",
 		Title:  "Ablation: GEMM stream concurrency vs PIM-layout memory slowdown (Jetson)",
@@ -361,7 +360,7 @@ func (l *Lab) AblationGEMMStreams(ctx context.Context) (Table, error) {
 		},
 	}
 	rows, err := sweep(ctx, l, "ablation-streams", []int{32, 128, 0, 512, 1024}, func(ctx context.Context, streams int) ([]string, error) {
-		mem, _, err := soc.MeasureLayoutSlowdown(p, op, soc.LayoutSlowdownConfig{Streams: streams})
+		mem, err := soc.MeasureLayoutSlowdown(p, 4096, 4096, 2, soc.LayoutSlowdownConfig{Streams: streams})
 		if err != nil {
 			return nil, err
 		}

@@ -7,7 +7,7 @@ import (
 	"facil/internal/soc"
 )
 
-// Table3Row is one (platform, layer, prefill) slowdown measurement.
+// Table3Row is one (platform, layer, prefill) slowdown result.
 type Table3Row struct {
 	Platform string
 	Layer    string
@@ -19,73 +19,74 @@ type Table3Row struct {
 	OpSlowdown  float64
 }
 
-// table3Point is one (platform, layer shape, prefill) measurement.
-type table3Point struct {
+// table3Shape is one (platform, layer) weight shape.
+type table3Shape struct {
 	platform soc.Platform
 	layer    string
 	in, out  int
 	dtype    int
-	prefill  int
 }
 
-// table3Points enumerates the measurement grid in render order.
-func table3Points() []table3Point {
-	var points []table3Point
+// table3Prefills are the prefill lengths of the paper's columns.
+var table3Prefills = []int{4, 16, 64}
+
+// table3Shapes enumerates every platform's layer shapes in render order.
+func table3Shapes() []table3Shape {
+	var shapes []table3Shape
 	for _, p := range soc.All() {
 		m := PlatformModel(p)
-		type layer struct {
-			name    string
-			in, out int
+		shape := func(layer string, in, out int) table3Shape {
+			return table3Shape{platform: p, layer: layer, in: in, out: out, dtype: m.DTypeBytes}
 		}
-		var layers []layer
 		if m.KVDim() != m.Hidden {
-			layers = append(layers,
-				layer{"Q/O proj", m.Hidden, m.Hidden},
-				layer{"K/V proj", m.Hidden, m.KVDim()},
+			shapes = append(shapes,
+				shape("Q/O proj", m.Hidden, m.Hidden),
+				shape("K/V proj", m.Hidden, m.KVDim()),
 			)
 		} else {
-			layers = append(layers, layer{"Q/K/V/O proj", m.Hidden, m.Hidden})
+			shapes = append(shapes, shape("Q/K/V/O proj", m.Hidden, m.Hidden))
 		}
-		layers = append(layers,
-			layer{"FC1", m.Hidden, m.Intermediate},
-			layer{"FC2", m.Intermediate, m.Hidden},
+		shapes = append(shapes,
+			shape("FC1", m.Hidden, m.Intermediate),
+			shape("FC2", m.Intermediate, m.Hidden),
 		)
-		for _, ly := range layers {
-			for _, pf := range []int{4, 16, 64} {
-				points = append(points, table3Point{
-					platform: p,
-					layer:    ly.name,
-					in:       ly.in,
-					out:      ly.out,
-					dtype:    m.DTypeBytes,
-					prefill:  pf,
-				})
-			}
-		}
 	}
-	return points
+	return shapes
 }
 
 // Table3Compute measures the GEMM slowdown on the PIM-optimized layout
 // for every platform's layer shapes at prefill lengths {4, 16, 64},
 // replacing the paper's GPGPU-Sim/ONNXim experiments with the in-repo
-// DRAM-contention model. Every (platform, layer, prefill) measurement is
-// an independent sweep point.
+// DRAM-contention model. Each weight shape is one sweep point: its DRAM
+// replay does not depend on the prefill, which only scales the memory
+// slowdown by the op's memory-bound fraction. Rows come out shape-major,
+// one per prefill.
 func (l *Lab) Table3Compute(ctx context.Context, cfg soc.LayoutSlowdownConfig) ([]Table3Row, error) {
-	return sweep(ctx, l, "tab3", table3Points(), func(ctx context.Context, pt table3Point) (Table3Row, error) {
-		op := soc.Linear{L: pt.prefill, In: pt.in, Out: pt.out, DTypeBytes: pt.dtype}
-		mem, opS, err := soc.MeasureLayoutSlowdown(pt.platform, op, cfg)
+	shapes := table3Shapes()
+	mems, err := sweep(ctx, l, "tab3", shapes, func(ctx context.Context, sh table3Shape) (float64, error) {
+		mem, err := soc.MeasureLayoutSlowdown(sh.platform, sh.in, sh.out, sh.dtype, cfg)
 		if err != nil {
-			return Table3Row{}, fmt.Errorf("exp: table3 %s %s P%d: %w", pt.platform.Name, pt.layer, pt.prefill, err)
+			return 0, fmt.Errorf("exp: table3 %s %s: %w", sh.platform.Name, sh.layer, err)
 		}
-		return Table3Row{
-			Platform:    pt.platform.Name,
-			Layer:       pt.layer,
-			Prefill:     pt.prefill,
-			MemSlowdown: mem,
-			OpSlowdown:  opS,
-		}, nil
+		return mem, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Table3Row, 0, len(shapes)*len(table3Prefills))
+	for i, sh := range shapes {
+		for _, pf := range table3Prefills {
+			op := soc.Linear{L: pf, In: sh.in, Out: sh.out, DTypeBytes: sh.dtype}
+			rows = append(rows, Table3Row{
+				Platform:    sh.platform.Name,
+				Layer:       sh.layer,
+				Prefill:     pf,
+				MemSlowdown: mems[i],
+				OpSlowdown:  mems[i] * sh.platform.MemoryBoundFraction(op),
+			})
+		}
+	}
+	return rows, nil
 }
 
 // Table3 renders the slowdown grid.
@@ -97,35 +98,21 @@ func (l *Lab) Table3(ctx context.Context, cfg soc.LayoutSlowdownConfig) (Table, 
 	tab := Table{
 		ID:     "tab3",
 		Title:  "Table III: GEMM slowdown on PIM-optimized layout",
-		Header: []string{"platform", "layer", "P4", "P16", "P64"},
+		Header: []string{"platform", "layer"},
 		Notes: []string{
 			"paper worst cases: Jetson 2.1%, MacBook 0.1%, IdeaPad 1.1%, iPhone 1.6%",
 			"substitution: DRAM-contention stream model replaces GPGPU-Sim/ONNXim",
 		},
 	}
-	// Group rows by (platform, layer).
-	type key struct{ p, l string }
-	byKey := map[key][3]float64{}
-	var order []key
-	for _, r := range rows {
-		k := key{r.Platform, r.Layer}
-		v, ok := byKey[k]
-		if !ok {
-			order = append(order, k)
-		}
-		switch r.Prefill {
-		case 4:
-			v[0] = r.OpSlowdown
-		case 16:
-			v[1] = r.OpSlowdown
-		case 64:
-			v[2] = r.OpSlowdown
-		}
-		byKey[k] = v
+	for _, pf := range table3Prefills {
+		tab.Header = append(tab.Header, fmt.Sprintf("P%d", pf))
 	}
-	for _, k := range order {
-		v := byKey[k]
-		tab.Rows = append(tab.Rows, []string{k.p, k.l, pc(v[0]), pc(v[1]), pc(v[2])})
+	for i := 0; i < len(rows); i += len(table3Prefills) {
+		row := []string{rows[i].Platform, rows[i].Layer}
+		for _, r := range rows[i : i+len(table3Prefills)] {
+			row = append(row, pc(r.OpSlowdown))
+		}
+		tab.Rows = append(tab.Rows, row)
 	}
 	return tab, nil
 }

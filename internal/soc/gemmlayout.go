@@ -97,25 +97,27 @@ func gemmWeightStream(m interface {
 	}
 }
 
-// MeasureLayoutSlowdown returns the fractional slowdown of the GEMM's
-// memory phase when the weight matrix uses the PIM mapping chosen by
-// SelectMapping instead of the conventional mapping, plus the end-to-end
-// slowdown for a given op (scaled by the op's memory-bound fraction).
-func MeasureLayoutSlowdown(p Platform, op Linear, cfg LayoutSlowdownConfig) (memSlowdown, opSlowdown float64, err error) {
+// MeasureLayoutSlowdown returns the fractional slowdown of the memory
+// phase of a GEMM reading an in×out weight matrix of dtypeBytes elements
+// when the matrix uses the PIM mapping chosen by SelectMapping instead of
+// the conventional mapping. The replayed weight stream does not depend on
+// the prefill length, so neither does the result; an op's end-to-end
+// slowdown is this value times p.MemoryBoundFraction(op).
+func MeasureLayoutSlowdown(p Platform, in, out, dtypeBytes int, cfg LayoutSlowdownConfig) (float64, error) {
 	cfg.defaults()
-	if err := op.Validate(); err != nil {
-		return 0, 0, err
+	if in <= 0 || out <= 0 || dtypeBytes <= 0 {
+		return 0, fmt.Errorf("soc: weight shape (%d,%d) x %d B must be positive", in, out, dtypeBytes)
 	}
 	mc := mapping.MemoryConfig{Geometry: p.Spec.Geometry, HugePageBytes: 2 << 20}
 	chunk := mapping.AiMChunk(p.Spec.Geometry)
 	tab, err := mapping.NewTable(mc, chunk)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	matrix := mapping.MatrixConfig{Rows: op.Out, Cols: op.In, DTypeBytes: op.DTypeBytes}
+	matrix := mapping.MatrixConfig{Rows: out, Cols: in, DTypeBytes: dtypeBytes}
 	sel, err := mapping.SelectMapping(matrix, mc, chunk)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	rowBytes := int64(matrix.PaddedRowBytes())
 	transfer := int64(p.Spec.Geometry.TransferBytes)
@@ -125,7 +127,7 @@ func MeasureLayoutSlowdown(p Platform, op Linear, cfg LayoutSlowdownConfig) (mem
 
 	run := func(id mapping.MapID) (float64, error) {
 		m := tab.Lookup(id)
-		src := gemmWeightStream(m, op.Out, rowBytes, cfg.Streams, p.Spec.Geometry.Channels, cfg.SampleBytes, transfer)
+		src := gemmWeightStream(m, out, rowBytes, cfg.Streams, p.Spec.Geometry.Channels, cfg.SampleBytes, transfer)
 		res, err := dram.MeasureStreamFunc(p.Spec, src)
 		if err != nil {
 			return 0, err
@@ -137,19 +139,14 @@ func MeasureLayoutSlowdown(p Platform, op Linear, cfg LayoutSlowdownConfig) (mem
 	}
 	convBW, err := run(mapping.ConventionalMapID)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	pimBW, err := run(sel.ID)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if pimBW <= 0 {
-		return 0, 0, fmt.Errorf("soc: PIM-layout stream produced zero bandwidth")
+		return 0, fmt.Errorf("soc: PIM-layout stream produced zero bandwidth")
 	}
-	memSlowdown = convBW/pimBW - 1
-	if memSlowdown < 0 {
-		memSlowdown = 0
-	}
-	opSlowdown = memSlowdown * p.MemoryBoundFraction(op)
-	return memSlowdown, opSlowdown, nil
+	return max(convBW/pimBW-1, 0), nil
 }

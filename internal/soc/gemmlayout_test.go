@@ -6,7 +6,7 @@ func TestLayoutSlowdownSmall(t *testing.T) {
 	// Table III: GEMM on the PIM-optimized layout loses at most a few
 	// percent when the kernel has normal memory-level parallelism.
 	op := Linear{L: 64, In: 4096, Out: 4096, DTypeBytes: 2}
-	mem, opSlow, err := MeasureLayoutSlowdown(IPhone, op, LayoutSlowdownConfig{SampleBytes: 2 << 20})
+	mem, err := MeasureLayoutSlowdown(IPhone, op.In, op.Out, op.DTypeBytes, LayoutSlowdownConfig{SampleBytes: 2 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +16,7 @@ func TestLayoutSlowdownSmall(t *testing.T) {
 	if mem > 0.15 {
 		t.Errorf("memory-phase slowdown = %.3f, want small (< 15%%)", mem)
 	}
-	if opSlow > mem+1e-12 {
+	if opSlow := mem * IPhone.MemoryBoundFraction(op); opSlow > mem+1e-12 {
 		t.Errorf("op slowdown %g exceeds memory slowdown %g", opSlow, mem)
 	}
 }
@@ -25,12 +25,11 @@ func TestLayoutSlowdownFewStreamsWorse(t *testing.T) {
 	// With little memory-level parallelism the PIM layout's per-row
 	// bank locality hurts much more — the reason GPUs' abundant
 	// parallelism is what keeps Table III small.
-	op := Linear{L: 16, In: 4096, Out: 4096, DTypeBytes: 2}
-	oneStream, _, err := MeasureLayoutSlowdown(IPhone, op, LayoutSlowdownConfig{Streams: 1, SampleBytes: 1 << 20})
+	oneStream, err := MeasureLayoutSlowdown(IPhone, 4096, 4096, 2, LayoutSlowdownConfig{Streams: 1, SampleBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	manyStreams, _, err := MeasureLayoutSlowdown(IPhone, op, LayoutSlowdownConfig{Streams: 128, SampleBytes: 1 << 20})
+	manyStreams, err := MeasureLayoutSlowdown(IPhone, 4096, 4096, 2, LayoutSlowdownConfig{Streams: 128, SampleBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +39,9 @@ func TestLayoutSlowdownFewStreamsWorse(t *testing.T) {
 }
 
 func TestLayoutSlowdownValidation(t *testing.T) {
-	if _, _, err := MeasureLayoutSlowdown(IPhone, Linear{}, LayoutSlowdownConfig{}); err == nil {
-		t.Error("invalid op accepted")
+	for _, shape := range [][3]int{{0, 0, 0}, {4096, 0, 2}, {4096, 4096, 0}, {-1, 4096, 2}} {
+		if _, err := MeasureLayoutSlowdown(IPhone, shape[0], shape[1], shape[2], LayoutSlowdownConfig{}); err == nil {
+			t.Errorf("invalid shape %v accepted", shape)
+		}
 	}
 }

@@ -42,8 +42,18 @@ func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
+	return sortedPercentile(sortedCopy(xs), p)
+}
+
+// sortedCopy returns an ascending copy of xs.
+func sortedCopy(xs []float64) []float64 {
 	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
+	return s
+}
+
+// sortedPercentile is Percentile over already-sorted, non-empty samples.
+func sortedPercentile(s []float64, p float64) float64 {
 	if p <= 0 {
 		return s[0]
 	}

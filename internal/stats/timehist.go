@@ -152,13 +152,19 @@ type Quantiles struct {
 	Mean, P50, P95, P99 float64
 }
 
-// QuantilesOf summarizes xs (zeros for empty input).
+// QuantilesOf summarizes xs (zeros for empty input). It sorts one copy
+// of the samples for all three percentiles; each equals Percentile's
+// result bit for bit.
 func QuantilesOf(xs []float64) Quantiles {
+	if len(xs) == 0 {
+		return Quantiles{}
+	}
+	s := sortedCopy(xs)
 	return Quantiles{
 		Mean: Mean(xs),
-		P50:  Percentile(xs, 50),
-		P95:  Percentile(xs, 95),
-		P99:  Percentile(xs, 99),
+		P50:  sortedPercentile(s, 50),
+		P95:  sortedPercentile(s, 95),
+		P99:  sortedPercentile(s, 99),
 	}
 }
 

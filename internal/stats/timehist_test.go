@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -78,5 +79,47 @@ func TestQuantilesOf(t *testing.T) {
 	}
 	if !q.Finite() || q.IsZero() {
 		t.Errorf("quantiles flags: %+v", q)
+	}
+}
+
+// TestQuantilesOfMatchesPercentile pins the sort-once QuantilesOf to
+// {Mean, Percentile(50/95/99)} bit for bit, ±Inf and NaN results
+// included.
+func TestQuantilesOfMatchesPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	inputs := [][]float64{
+		nil,
+		{},
+		{3.25},
+		{2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 3, 2},
+		{math.Inf(1), 1, 2, math.Inf(-1), 5},
+		{math.Inf(1), math.Inf(1), 0.5},
+		{-1, math.Inf(-1), math.Inf(-1), math.Inf(-1)},
+	}
+	for n := 2; n < 300; n += 37 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = rng.NormFloat64() * 1e3
+		}
+		inputs = append(inputs, xs)
+		dup := make([]float64, n)
+		for i := range dup {
+			dup[i] = float64(rng.Intn(3))
+		}
+		inputs = append(inputs, dup)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i, xs := range inputs {
+		orig := append([]float64(nil), xs...)
+		got := QuantilesOf(xs)
+		want := Quantiles{Mean: Mean(xs), P50: Percentile(xs, 50), P95: Percentile(xs, 95), P99: Percentile(xs, 99)}
+		if !same(got.Mean, want.Mean) || !same(got.P50, want.P50) || !same(got.P95, want.P95) || !same(got.P99, want.P99) {
+			t.Errorf("input %d (n=%d): QuantilesOf = %+v, want %+v", i, len(xs), got, want)
+		}
+		for j := range xs {
+			if !same(xs[j], orig[j]) {
+				t.Fatalf("input %d: QuantilesOf reordered its input", i)
+			}
+		}
 	}
 }

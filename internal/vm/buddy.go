@@ -29,7 +29,11 @@ type Buddy struct {
 	blockGen []uint32
 	// frameFree marks each frame free or used (for region scans).
 	frameFree []bool
-	freeCount int64 // free frames
+	// regionFree[r] counts the free frames in 2 MB region r (the last
+	// region may be partial), so compaction picks a victim without
+	// scanning frames.
+	regionFree []int32
+	freeCount  int64 // free frames
 }
 
 // NewBuddy builds an allocator over `frames` 4 KB frames, all free.
@@ -49,6 +53,7 @@ func NewBuddy(frames, maxOrder int) (*Buddy, error) {
 		blockFree:  make([]bool, frames),
 		blockGen:   make([]uint32, frames),
 		frameFree:  make([]bool, frames),
+		regionFree: make([]int32, (frames+FramesPerHugePage-1)/FramesPerHugePage),
 	}
 	// Carve the range into maximal aligned free blocks.
 	pos := 0
@@ -78,6 +83,7 @@ func (b *Buddy) insertFree(start, order int) {
 	for f := start; f < start+(1<<order); f++ {
 		b.frameFree[f] = true
 	}
+	b.addRegionFree(start, order, 1)
 	b.freeCount += int64(1) << order
 }
 
@@ -89,8 +95,23 @@ func (b *Buddy) removeFreeBlock(start int) int {
 	for f := start; f < start+(1<<order); f++ {
 		b.frameFree[f] = false
 	}
+	b.addRegionFree(start, order, -1)
 	b.freeCount -= int64(1) << order
 	return order
+}
+
+// addRegionFree adds sign × the block's frames to the per-region free
+// counts. A block below HugeOrder lies inside one region; an aligned
+// block of HugeOrder or above covers whole regions.
+func (b *Buddy) addRegionFree(start, order int, sign int32) {
+	if order < HugeOrder {
+		b.regionFree[start/FramesPerHugePage] += sign << order
+		return
+	}
+	first := start / FramesPerHugePage
+	for r := first; r < first+1<<(order-HugeOrder); r++ {
+		b.regionFree[r] += sign * FramesPerHugePage
+	}
 }
 
 // popFree returns a valid free block of exactly `order`, or -1.
@@ -195,7 +216,9 @@ func (b *Buddy) FMFI(order int) float64 {
 	return float64(b.freeCount-usable) / float64(b.freeCount)
 }
 
-// FreeInRegion counts free frames within [start, start+n).
+// FreeInRegion counts free frames within [start, start+n) by scanning
+// frames; it works for any range, where compaction reads the per-region
+// counts.
 func (b *Buddy) FreeInRegion(start, n int) int {
 	end := start + n
 	if end > b.frames {
