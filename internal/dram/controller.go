@@ -134,14 +134,3 @@ func (ctl *Controller) Stats() ChannelStats {
 func (ctl *Controller) Seconds(cycles int64) float64 {
 	return ctl.spec.Timing.Seconds(cycles)
 }
-
-// AchievedBandwidthGBs computes the effective bandwidth of a finished run:
-// total transferred bytes divided by the wall-clock completion time.
-func (ctl *Controller) AchievedBandwidthGBs() float64 {
-	s := ctl.Stats()
-	if s.LastDone == 0 {
-		return 0
-	}
-	bytes := float64(s.Reads+s.Writes) * float64(ctl.spec.Geometry.TransferBytes)
-	return bytes / ctl.Seconds(s.LastDone) / 1e9
-}

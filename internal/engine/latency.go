@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"facil/internal/mapping"
-	"facil/internal/soc"
 )
 
 // otherStepSeconds is the non-linear per-token SoC work of one decode
@@ -189,10 +188,4 @@ func (s *System) DecodeStepBreakdown(k Kind, ctx int) (PIMStepBreakdown, error) 
 	b.LinearSeconds = lin
 	b.AttentionSeconds = at
 	return b, nil
-}
-
-// SoCDecodeLinears exposes the per-matrix decode GEMV shapes with their
-// SoC utilizations (Fig. 2(b)).
-func (s *System) SoCDecodeLinears() []soc.Linear {
-	return s.Model.DecodeLinears()
 }

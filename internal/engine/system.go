@@ -168,9 +168,6 @@ func NewSystem(p soc.Platform, m llm.Model, cfg Config) (*System, error) {
 // PIMDevice exposes the PIM simulation (for Fig. 3-style analyses).
 func (s *System) PIMDevice() *pim.Device { return s.pimDev }
 
-// Relayout exposes the re-layout engine.
-func (s *System) Relayout() *relayout.Engine { return s.relayout }
-
 // Table exposes the mapping table.
 func (s *System) Table() *mapping.Table { return s.table }
 

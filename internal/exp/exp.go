@@ -164,13 +164,6 @@ func (l *Lab) System(p soc.Platform) (*engine.System, error) {
 	return e.s, e.err
 }
 
-// FreshSystem builds a new, unshared stack for a platform with the lab's
-// configuration. Use it when a sweep point needs exclusive ownership —
-// e.g. to mutate configuration — instead of the shared System instance.
-func (l *Lab) FreshSystem(p soc.Platform) (*engine.System, error) {
-	return engine.NewSystem(p, PlatformModel(p), l.cfg)
-}
-
 // sweepOpts assembles the parallel options for one experiment's sweep.
 func (l *Lab) sweepOpts(experiment string) []parallel.Option {
 	opts := []parallel.Option{parallel.Workers(l.par)}

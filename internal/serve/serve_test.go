@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"context"
 	"sync"
 	"testing"
 
 	"facil/internal/engine"
 	"facil/internal/llm"
 	"facil/internal/soc"
-	"facil/internal/workload"
 )
 
 // servingSystem returns a shared engine.System: it is immutable and
@@ -31,78 +29,74 @@ func servingSystem(t testing.TB) *engine.System {
 	return servingOnce.s
 }
 
-func testConfig(rate float64) Config {
-	return Config{
-		ArrivalRate: rate,
-		Queries:     120,
-		Workload:    workload.AlpacaSpec(),
-		Seed:        5,
-	}
-}
+// The tests below pin the single-device FCFS queue: Serial mode on one
+// replica, the configuration the serving experiment runs.
 
 func TestSimulateBasics(t *testing.T) {
 	s := servingSystem(t)
-	sum, err := Simulate(s, engine.FACIL, testConfig(0.05))
+	m, err := Run(s, simConfig(Serial, engine.FACIL, 0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.PerceivedTTFTMean <= 0 || sum.PerceivedTTLTMean <= sum.PerceivedTTFTMean {
-		t.Errorf("latencies implausible: %+v", sum)
+	if m.TTFT.Mean <= 0 || m.TTLT.Mean <= m.TTFT.Mean {
+		t.Errorf("latencies implausible: %+v", m)
 	}
-	if sum.Utilization <= 0 || sum.Utilization > 1 {
-		t.Errorf("utilization = %g", sum.Utilization)
+	if m.SoCUtilization <= 0 || m.SoCUtilization > 1 {
+		t.Errorf("utilization = %g", m.SoCUtilization)
 	}
-	if sum.PerceivedTTFTP99 < sum.PerceivedTTFTMean {
-		t.Errorf("p99 %.3f below mean %.3f", sum.PerceivedTTFTP99, sum.PerceivedTTFTMean)
+	if m.TTFT.P99 < m.TTFT.Mean {
+		t.Errorf("p99 %.3f below mean %.3f", m.TTFT.P99, m.TTFT.Mean)
 	}
-	if sum.MaxQueueDepth < 1 {
-		t.Errorf("queue depth %d", sum.MaxQueueDepth)
+	if m.MaxQueueDepth < 1 {
+		t.Errorf("queue depth %d", m.MaxQueueDepth)
 	}
 }
 
 func TestLoadAmplifiesLatency(t *testing.T) {
 	s := servingSystem(t)
-	light, err := Simulate(s, engine.HybridStatic, testConfig(0.02))
+	light, err := Run(s, simConfig(Serial, engine.HybridStatic, 0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := Simulate(s, engine.HybridStatic, testConfig(0.4))
+	heavy, err := Run(s, simConfig(Serial, engine.HybridStatic, 0.4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if heavy.PerceivedTTFTMean <= light.PerceivedTTFTMean {
+	if heavy.TTFT.Mean <= light.TTFT.Mean {
 		t.Errorf("load did not raise perceived TTFT: %.3f vs %.3f",
-			heavy.PerceivedTTFTMean, light.PerceivedTTFTMean)
+			heavy.TTFT.Mean, light.TTFT.Mean)
 	}
-	if heavy.Utilization <= light.Utilization {
+	if heavy.SoCUtilization <= light.SoCUtilization {
 		t.Error("utilization did not rise with load")
 	}
 }
 
 func TestFACILServesBetterUnderLoad(t *testing.T) {
 	s := servingSystem(t)
-	cfg := testConfig(0.3)
-	sums, err := Compare(context.Background(), s, []engine.Kind{engine.HybridStatic, engine.FACIL}, cfg)
+	hybrid, err := Run(s, simConfig(Serial, engine.HybridStatic, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid, facil := sums[0], sums[1]
-	if facil.PerceivedTTFTMean >= hybrid.PerceivedTTFTMean {
-		t.Errorf("FACIL perceived TTFT %.3f not below hybrid %.3f",
-			facil.PerceivedTTFTMean, hybrid.PerceivedTTFTMean)
+	facil, err := Run(s, simConfig(Serial, engine.FACIL, 0.3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if facil.Utilization >= hybrid.Utilization {
+	if facil.TTFT.Mean >= hybrid.TTFT.Mean {
+		t.Errorf("FACIL perceived TTFT %.3f not below hybrid %.3f",
+			facil.TTFT.Mean, hybrid.TTFT.Mean)
+	}
+	if facil.SoCUtilization >= hybrid.SoCUtilization {
 		t.Errorf("FACIL utilization %.2f not below hybrid %.2f (same offered load)",
-			facil.Utilization, hybrid.Utilization)
+			facil.SoCUtilization, hybrid.SoCUtilization)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	s := servingSystem(t)
-	if _, err := Simulate(s, engine.FACIL, Config{ArrivalRate: 0, Queries: 10}); err == nil {
+	if _, err := Run(s, SimConfig{Mode: Serial, Kind: engine.FACIL, Replicas: 1, ArrivalRate: 0, Queries: 10}); err == nil {
 		t.Error("zero rate accepted")
 	}
-	if _, err := Simulate(s, engine.FACIL, Config{ArrivalRate: 1, Queries: 0}); err == nil {
+	if _, err := Run(s, SimConfig{Mode: Serial, Kind: engine.FACIL, Replicas: 1, ArrivalRate: 1, Queries: 0}); err == nil {
 		t.Error("zero queries accepted")
 	}
 }

@@ -1,3 +1,12 @@
+// Package serve layers a serving queue on top of the inference engines:
+// queries arrive over time, wait for a device, then run prefill and
+// decode. On-device assistants serve exactly this way (one user, bursty
+// requests), and queueing amplifies the latency differences between the
+// designs: a slower engine is closer to saturation at the same arrival
+// rate, so its *perceived* time-to-first-token degrades super-linearly.
+// Not a paper experiment — an extension quantifying user-perceived
+// responsiveness under load. Run and Sim are the one event-driven
+// simulator; Serial mode on one replica is the single-device FCFS queue.
 package serve
 
 import (
@@ -266,8 +275,9 @@ type Metrics struct {
 	TTFT, TTLT, TBT stats.Quantiles
 
 	// Makespan is simulation start (t=0) to the last event; the first
-	// arrival lands one exponential gap after t=0, matching the legacy
-	// Simulate clock (its utilization divides by the same span).
+	// arrival lands one exponential gap after t=0, matching the
+	// closed-form FCFS queue's clock (its utilization divides by the
+	// same span).
 	Makespan float64
 	// ThroughputQPS is completions per second of makespan; GoodputQPS
 	// counts only completions within DeadlineTTLT.
@@ -539,8 +549,8 @@ func Run(s *engine.System, cfg SimConfig) (Metrics, error) {
 //
 // Internally the event loop runs on a hierarchical timing wheel over
 // value-typed slab events merged against the in-order arrival stream;
-// ReferenceSim is the retained pre-wheel implementation, and the
-// differential tests hold the two bit-identical.
+// ReferenceSim (refsim_test.go) is the retained pre-wheel
+// implementation, and the differential tests hold the two bit-identical.
 //
 // A Sim is single-threaded: Step and Finish must not be called
 // concurrently (snapshots of the global Live counters are the
@@ -594,7 +604,7 @@ func NewSim(s *engine.System, cfg SimConfig) (*Sim, error) {
 	}
 	// The arrival process is owned by this run: a fresh RNG consumes
 	// exactly one exponential gap per query, in arrival order, matching
-	// the legacy Simulate clock. Arrivals are not events — the slab,
+	// the closed-form FCFS queue's clock. Arrivals are not events — the slab,
 	// ordered by arrival time with nextArr as cursor, is the stream; a
 	// query's slab index doubles as its event sequence number. A
 	// Stream-mode run starts with an empty, unsealed slab that Inject

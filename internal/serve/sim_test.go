@@ -2,11 +2,13 @@ package serve
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"facil/internal/engine"
+	"facil/internal/stats"
 	"facil/internal/workload"
 )
 
@@ -32,31 +34,75 @@ func simConfig(mode Mode, kind engine.Kind, rate float64) SimConfig {
 	}
 }
 
-// TestSerialMatchesLegacySimulate locks the equivalence the new
-// simulator is bootstrapped on: Serial mode with one replica reproduces
-// the old closed-form Simulate on the same seed to float tolerance.
-func TestSerialMatchesLegacySimulate(t *testing.T) {
-	s := servingSystem(t)
-	for _, kind := range []engine.Kind{engine.HybridStatic, engine.FACIL} {
-		old, err := Simulate(s, kind, testConfig(0.3))
+// fcfsQueue is the closed-form single-device FCFS queue the event-driven
+// simulator was bootstrapped on: each query starts when both it has
+// arrived and the device is free, and holds the device until its last
+// token. Arrivals and lengths draw from cfg's seeds exactly as Run does.
+type fcfsQueue struct {
+	ttftMean, ttftP99, ttltMean, utilization float64
+	maxDepth                                 int
+}
+
+func closedFormFCFS(t *testing.T, s *engine.System, cfg SimConfig) fcfsQueue {
+	t.Helper()
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	ds, err := workload.Generate(cfg.Workload, cfg.Queries, cfg.Seed+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clock, freeAt, busy float64
+	var ttfts, ttlts, done []float64
+	var out fcfsQueue
+	head := 0 // done is non-decreasing: done[head:] are still in the system
+	for _, q := range ds.Queries {
+		clock += rng.ExpFloat64() / cfg.ArrivalRate
+		ttft, err := s.TTFT(cfg.Kind, q.Prefill)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := Run(s, simConfig(Serial, kind, 0.3))
+		ttlt, err := s.TTLT(cfg.Kind, q.Prefill, q.Decode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := math.Max(clock, freeAt)
+		freeAt = start + ttlt
+		busy += ttlt
+		ttfts = append(ttfts, start+ttft-clock)
+		ttlts = append(ttlts, freeAt-clock)
+		done = append(done, freeAt)
+		for head < len(done) && done[head] <= clock {
+			head++
+		}
+		out.maxDepth = max(out.maxDepth, len(done)-head)
+	}
+	out.ttftMean, out.ttftP99 = stats.Mean(ttfts), stats.Percentile(ttfts, 99)
+	out.ttltMean, out.utilization = stats.Mean(ttlts), busy/freeAt
+	return out
+}
+
+// TestSerialMatchesLegacySimulate locks the equivalence the simulator
+// is bootstrapped on: Serial mode with one replica reproduces the
+// closed-form FCFS queue on the same seed to float tolerance.
+func TestSerialMatchesLegacySimulate(t *testing.T) {
+	s := servingSystem(t)
+	for _, kind := range []engine.Kind{engine.HybridStatic, engine.FACIL} {
+		cfg := simConfig(Serial, kind, 0.3)
+		old := closedFormFCFS(t, s, cfg)
+		m, err := Run(s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		closeTo := func(name string, got, want float64) {
 			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-				t.Errorf("%v %s: event-driven %.12f vs legacy %.12f", kind, name, got, want)
+				t.Errorf("%v %s: event-driven %.12f vs closed form %.12f", kind, name, got, want)
 			}
 		}
-		closeTo("TTFT mean", m.TTFT.Mean, old.PerceivedTTFTMean)
-		closeTo("TTFT p99", m.TTFT.P99, old.PerceivedTTFTP99)
-		closeTo("TTLT mean", m.TTLT.Mean, old.PerceivedTTLTMean)
-		closeTo("utilization", m.SoCUtilization, old.Utilization)
-		if m.MaxQueueDepth != old.MaxQueueDepth {
-			t.Errorf("%v max depth: %d vs legacy %d", kind, m.MaxQueueDepth, old.MaxQueueDepth)
+		closeTo("TTFT mean", m.TTFT.Mean, old.ttftMean)
+		closeTo("TTFT p99", m.TTFT.P99, old.ttftP99)
+		closeTo("TTLT mean", m.TTLT.Mean, old.ttltMean)
+		closeTo("utilization", m.SoCUtilization, old.utilization)
+		if m.MaxQueueDepth != old.maxDepth {
+			t.Errorf("%v max depth: %d vs closed form %d", kind, m.MaxQueueDepth, old.maxDepth)
 		}
 		if m.Completed != 120 || m.Rejected != 0 || m.TimedOut != 0 {
 			t.Errorf("%v accounting: %+v", kind, m)
@@ -277,8 +323,8 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 // TestScaleBoundedTime is the O(n²)-regression guard: 50k queries flow
-// through both the fixed legacy queue and the event-driven simulator in
-// bounded wall-clock time (the old depth scan was quadratic — 50k
+// through the event-driven simulator in bounded wall-clock time (an
+// early closed-form queue rescanned every query for its depth — 50k
 // queries took minutes).
 func TestScaleBoundedTime(t *testing.T) {
 	if testing.Short() {
@@ -287,15 +333,6 @@ func TestScaleBoundedTime(t *testing.T) {
 	s := servingSystem(t)
 	const n = 50000
 	start := time.Now()
-	old, err := Simulate(s, engine.FACIL, Config{
-		ArrivalRate: 5, Queries: n, Workload: workload.AlpacaSpec(), Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.MaxQueueDepth < 1 {
-		t.Errorf("legacy depth = %d", old.MaxQueueDepth)
-	}
 	cfg := simConfig(Cooperative, engine.FACIL, 5)
 	cfg.Queries = n
 	m, err := Run(s, cfg)
@@ -304,6 +341,9 @@ func TestScaleBoundedTime(t *testing.T) {
 	}
 	if m.Arrived != n || m.Completed != n {
 		t.Errorf("accounting at scale: %+v", m)
+	}
+	if m.MaxQueueDepth < 1 {
+		t.Errorf("depth = %d", m.MaxQueueDepth)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Minute {
 		t.Errorf("50k-query runs took %v — queue bookkeeping is super-linear again", elapsed)
