@@ -110,6 +110,9 @@ type Channel struct {
 	spec  *Spec
 	t     *Timing
 	ranks []rank
+	// banks is every bank's state, indexed rank*BanksPerRank+bank like
+	// the per-bank visible lists; each rank's banks is a window of it.
+	banks []bank
 
 	// Slot pool and queue-order list.
 	slots    []slot
@@ -217,11 +220,8 @@ func NewChannel(spec *Spec) *Channel {
 		tail:           noSlot,
 		visTail:        noSlot,
 	}
-	c.ranks = make([]rank, spec.Geometry.RanksPerChannel)
+	c.ranks, c.banks = newRanks(spec.Geometry.RanksPerChannel, spec.Geometry.BanksPerRank, spec.Timing.TREFI)
 	c.nextMAC = make([]int64, spec.Geometry.RanksPerChannel)
-	for i := range c.ranks {
-		c.ranks[i] = newRank(spec.Geometry.BanksPerRank, spec.Timing.TREFI)
-	}
 	nb := spec.Geometry.RanksPerChannel * spec.Geometry.BanksPerRank
 	c.bankHead = make([]int32, nb)
 	c.bankTail = make([]int32, nb)
@@ -569,9 +569,10 @@ func (c *Channel) step() {
 
 	best, ok := c.pickCommand()
 	if !ok {
-		// Nothing issuable: every queued request is still in the
-		// future. The earliest pending arrival is the heap minimum —
-		// tracked incrementally, no queue rescan.
+		// No visible request. A request that has not arrived yet is
+		// still a candidate (issued at its arrival), and the window
+		// covers the head of a non-empty queue, so this is a guard:
+		// jump to the earliest pending arrival, the heap minimum.
 		if len(c.future) > 0 {
 			c.advanceNow(c.future[0].arrival)
 		}
@@ -580,8 +581,10 @@ func (c *Channel) step() {
 	c.issue(best)
 }
 
-// pickCommand selects the next command FR-FCFS style. It returns false if
-// no request inside the window has arrived yet.
+// pickCommand selects the next command FR-FCFS style. It returns false
+// only when no request is visible: a visible request whose arrival is
+// still in the future is a candidate like any other, with its arrival
+// cycle as the earliest issue cycle.
 //
 // The scheduler tracks the best column (data) command and the best
 // preparatory command (ACT/PRE) separately. A preparatory command is
@@ -605,8 +608,7 @@ func (c *Channel) pickCommand() (candidate, bool) {
 	wrBase := c.columnEarliest(CmdWR)
 
 	for _, bi := range c.activeBanks {
-		rk := &c.ranks[int(bi)/banksPerRank]
-		b := &rk.banks[int(bi)%banksPerRank]
+		b := &c.banks[bi]
 		head := c.bankHead[bi]
 
 		if b.state == bankActive {
@@ -665,6 +667,7 @@ func (c *Channel) pickCommand() (candidate, bool) {
 
 		// Idle bank: every visible request is an ACT candidate; only
 		// the arrival varies, so the floors hoist out of the loop.
+		rk := &c.ranks[int(bi)/banksPerRank]
 		actBase := maxi64(maxi64(b.nextACT, rk.earliestACT()), rowCmdBase)
 		var act candidate
 		haveAct := false
@@ -746,8 +749,7 @@ func (c *Channel) columnEarliest(kind CommandKind) int64 {
 func (c *Channel) issue(cand candidate) {
 	sl := &c.slots[cand.slot]
 	r := &sl.req
-	rk := &c.ranks[r.Addr.Rank]
-	b := &rk.banks[r.Addr.Bank]
+	b := &c.banks[c.bankIndex(r.Addr)]
 	at := cand.earliest
 
 	switch cand.kind {
@@ -756,7 +758,7 @@ func (c *Channel) issue(cand candidate) {
 		c.consumeRowCmdSlot(at)
 	case CmdACT:
 		b.apply(CmdACT, r.Addr.Row, at, c.t)
-		rk.recordACT(at, c.t)
+		c.ranks[r.Addr.Rank].recordACT(at, c.t)
 		sl.activated = true
 		c.stats.Activations++
 		c.consumeRowCmdSlot(at)

@@ -17,10 +17,7 @@ import "fmt"
 // state when enabled.
 func (c *Channel) SetDualRowBuffer(v bool) {
 	if v && c.shadow == nil {
-		c.shadow = make([]rank, len(c.ranks))
-		for i := range c.shadow {
-			c.shadow[i] = newRank(c.spec.Geometry.BanksPerRank, c.t.TREFI)
-		}
+		c.shadow, _ = newRanks(len(c.ranks), c.spec.Geometry.BanksPerRank, c.t.TREFI)
 	}
 	c.dualRowBuffer = v
 }
@@ -107,18 +104,23 @@ func (c *Channel) AllBankMAC(rk, col, interval int) (int64, error) {
 	r := c.pimRank(rk)
 	at := maxi64(c.cmdBusFree, c.nextMAC[rk])
 	for i := range r.banks {
-		if r.banks[i].state != bankActive {
+		b := &r.banks[i]
+		if b.state != bankActive {
 			return 0, fmt.Errorf("dram: AllBankMAC rank %d bank %d has no open row", rk, i)
 		}
-		e, legal := r.banks[i].earliest(CmdRD, r.banks[i].openRow)
-		if !legal {
-			return 0, fmt.Errorf("dram: AllBankMAC rank %d bank %d illegal", rk, i)
-		}
-		at = maxi64(at, e)
+		at = maxi64(at, b.nextRD)
 	}
 	_ = col // column index does not affect timing within an open row
+	// The banks move in lock-step: each takes bank.apply(CmdMACab)'s
+	// three floors, computed once for the shared issue cycle.
+	rd := at + int64(c.t.TCCD)
+	wr := rd + int64(c.t.TRTW)
+	pre := at + int64(c.t.TRTP)
 	for i := range r.banks {
-		r.banks[i].apply(CmdMACab, r.banks[i].openRow, at, c.t)
+		b := &r.banks[i]
+		b.nextRD = maxi64(b.nextRD, rd)
+		b.nextWR = maxi64(b.nextWR, wr)
+		b.nextPRE = maxi64(b.nextPRE, pre)
 	}
 	c.nextMAC[rk] = at + int64(interval)
 	c.cmdBusFree = at + 1

@@ -42,6 +42,61 @@ func TestAllBankACTMACPRECycle(t *testing.T) {
 	}
 }
 
+// TestAllBankMACMatchesPerBankApply pins the lock-step AllBankMAC to the
+// per-bank rule it folds: the MAC issues at the latest bank's earliest
+// column cycle, and every bank then takes bank.apply(CmdMACab). SoC
+// traffic runs first so banks enter PIM mode with unequal timing state.
+func TestAllBankMACMatchesPerBankApply(t *testing.T) {
+	spec := smallSpec()
+	ranks := spec.Geometry.RanksPerChannel
+	for _, dual := range []bool{false, true} {
+		ch := NewChannel(&spec)
+		ch.SetRowPolicy(CloseRow)
+		ch.SetDualRowBuffer(dual)
+		for _, r := range diffStream(&spec, "random", 500, 3) {
+			if err := ch.EnqueueValue(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ch.Drain()
+		for i := 0; i < 300; i++ {
+			rk := i % ranks
+			if i%(40*ranks) < ranks { // open a new row every 40 MACs
+				if _, err := ch.AllBankPRE(rk); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ch.AllBankACT(rk, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := append([]bank(nil), ch.pimRank(rk).banks...)
+			at := maxi64(ch.cmdBusFree, ch.nextMAC[rk])
+			for j := range want {
+				e, legal := want[j].earliest(CmdRD, want[j].openRow)
+				if !legal {
+					t.Fatalf("dual=%v MAC %d: bank %d cannot read its open row", dual, i, j)
+				}
+				at = maxi64(at, e)
+			}
+			for j := range want {
+				want[j].apply(CmdMACab, want[j].openRow, at, ch.t)
+			}
+			got, err := ch.AllBankMAC(rk, i, 1+i%5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != at {
+				t.Fatalf("dual=%v MAC %d issued at %d, per-bank rule gives %d", dual, i, got, at)
+			}
+			for j, b := range ch.pimRank(rk).banks {
+				if b != want[j] {
+					t.Fatalf("dual=%v MAC %d bank %d: got %+v, want %+v", dual, i, j, b, want[j])
+				}
+			}
+		}
+	}
+}
+
 func TestAllBankMACRequiresOpenRow(t *testing.T) {
 	spec := smallSpec()
 	ch := NewChannel(&spec)

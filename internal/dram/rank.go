@@ -17,13 +17,20 @@ type rank struct {
 	nextRefresh int64
 }
 
-func newRank(banksPerRank int, trefi int) rank {
-	r := rank{banks: make([]bank, banksPerRank)}
-	for i := range r.banks {
-		r.banks[i] = newBank()
+// newRanks builds n ranks over one flat bank array indexed
+// rank*banksPerRank+bank, which it also returns; each rank's banks is a
+// window of it.
+func newRanks(n, banksPerRank, trefi int) ([]rank, []bank) {
+	banks := make([]bank, n*banksPerRank)
+	for i := range banks {
+		banks[i] = newBank()
 	}
-	r.nextRefresh = int64(trefi)
-	return r
+	ranks := make([]rank, n)
+	for i := range ranks {
+		lo, hi := i*banksPerRank, (i+1)*banksPerRank
+		ranks[i] = rank{banks: banks[lo:hi:hi], nextRefresh: int64(trefi)}
+	}
+	return ranks, banks
 }
 
 // earliestACT returns the earliest cycle an ACT may issue on this rank.

@@ -70,10 +70,7 @@ func NewReferenceChannel(spec *Spec) *ReferenceChannel {
 		window:         DefaultWindow,
 		refreshEnabled: true,
 	}
-	c.ranks = make([]rank, spec.Geometry.RanksPerChannel)
-	for i := range c.ranks {
-		c.ranks[i] = newRank(spec.Geometry.BanksPerRank, spec.Timing.TREFI)
-	}
+	c.ranks, _ = newRanks(spec.Geometry.RanksPerChannel, spec.Geometry.BanksPerRank, spec.Timing.TREFI)
 	return c
 }
 

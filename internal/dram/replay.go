@@ -25,9 +25,12 @@ func SliceSource(reqs []Request) RequestSource {
 // ReplayStream feeds a pull source through a fresh controller and
 // returns the completion cycle along with controller statistics.
 // Requests are enqueued by value, at their stated arrival cycles, as the
-// source produces them; a channel whose queue passes a bound is drained
-// incrementally, so arbitrarily long traces use bounded memory per
-// channel.
+// source produces them. A channel holding more than twice its FR-FCFS
+// window is drained down to one window, so each channel queues at most
+// 2×window+1 requests and arbitrarily long traces replay in memory that
+// does not grow with the trace. The schedule is the one a fully queued
+// stream gets: the scheduler only reads the first window entries, and
+// while the source has more requests the queue never holds fewer.
 func ReplayStream(spec Spec, src RequestSource) (int64, ChannelStats, error) {
 	return replayStreamWindow(spec, src, 0)
 }
@@ -42,15 +45,14 @@ func replayStreamWindow(spec Spec, src RequestSource, window int) (int64, Channe
 			ctl.Channel(i).SetWindow(window)
 		}
 	}
-	const maxQueue = 4096
 	var r Request
 	for src(&r) {
 		if err := ctl.EnqueueValue(r); err != nil {
 			return 0, ChannelStats{}, err
 		}
 		ch := ctl.channels[r.Addr.Channel]
-		if ch.Pending() > maxQueue {
-			ch.DrainUpTo(maxQueue / 2)
+		if ch.count > 2*ch.window {
+			ch.DrainUpTo(ch.window)
 		}
 	}
 	done := ctl.Drain()

@@ -70,6 +70,7 @@ func TestGoldenTables(t *testing.T) {
 			return l.Table1(ctx, cfg)
 		}},
 		{"tab3", false, func() (Table, error) { return l.Table3(ctx, soc.LayoutSlowdownConfig{}) }},
+		{"ablations_scheduler_window", false, func() (Table, error) { return l.AblationSchedulerWindow(ctx) }},
 		{"serving", false, func() (Table, error) { return l.Serving(ctx) }},
 		{"serving2_small", false, func() (Table, error) { return l.Serving2(ctx, goldenServing2Config()) }},
 		{"resilience_small", false, func() (Table, error) { return l.Resilience(ctx, goldenResilienceConfig()) }},

@@ -203,3 +203,22 @@ func TestInternalBandwidthFormula(t *testing.T) {
 		t.Errorf("InternalBandwidthGBs = %.1f, want %.1f", got, want)
 	}
 }
+
+// BenchmarkGEMV times the uncached all-bank schedule of a 4096x4096 fp16
+// GEMV on the Jetson memory system. Each iteration builds a fresh Device
+// so the per-shape memo never hides the MAC loop.
+func BenchmarkGEMV(b *testing.B) {
+	spec := dram.JetsonOrinLPDDR5
+	cfg := DefaultAiM(spec.Geometry)
+	m := mapping.MatrixConfig{Rows: 4096, Cols: 4096, DTypeBytes: 2}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d, err := NewDevice(spec, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.GEMV(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
