@@ -35,37 +35,12 @@
 //     admissions) — load it at https://ui.perfetto.dev. -tracebuf bounds
 //     the in-memory event ring.
 //
-// serving2 (the event-driven cooperative serving extension) accepts
-// -rates, -replicas and -modes as comma-separated sweep lists plus
-// -queuecap and -slo for the admission bound and TTLT goodput deadline.
-//
-// resilience (the fault-injection extension) additionally accepts
-// -faults (comma-separated lane MTBFs in seconds — the fault-rate
-// axis), -faultseed (the fault-scenario seed) and -policy
-// (comma-separated degradation policies: none, soc-fallback, failover);
-// -modes, -queuecap and -slo apply as for serving2.
-//
-// cluster (the fleet-scale serving extension; `facilsim -cluster` is
-// shorthand for the identifier) accepts -strategy (comma-separated
-// balancing strategies: round-robin, least-loaded, latency-weighted,
-// slo-tiered), -fleet (a platform[/macN]:count comma list, e.g.
-// "jetson:26,ideapad/mac8:26"), -devices (rescale the fleet preserving
-// its mix), -rate (cluster-wide q/s), -sync (telemetry-barrier
-// interval in virtual seconds), -steal (pair every strategy row with a
-// cross-device migration "+steal" row), -stealthreshold (the
-// in-system depth that triggers stealing from a healthy device;
-// 0 = breaker-driven evacuation only) and -stealscore (steal-destination
-// scoring: depth picks the least-loaded device, latency minimizes the
-// TTFT-EWMA expected-wait proxy); -queries, -seed, -queuecap,
-// -slo, -faultseed, a single -policy and a single -faults MTBF apply
-// per device.
-//
-// maptune (the mapping auto-tuner extension; `facilsim -tune` is
-// shorthand for the identifier) searches generalized page-offset
-// permutation+XOR PA-to-DA mappings against per-workload traces and
-// re-validates the Pareto front on the full scheduler. -tunebudget
-// bounds the candidates scored per (platform, workload) cell and
-// -tuneseed picks the mutation stream.
+// Every run.Scenario override (-queries, -seed, -scale, the serving2,
+// resilience and cluster sweeps, -tunebudget, -tuneseed) is a flag
+// registered from the scenario's knob table: `facilsim -h` lists each
+// with its usage, and EXPERIMENTS.md documents each experiment's knobs.
+// `facilsim -cluster` and `facilsim -tune` are shorthand for the cluster
+// and maptune identifiers.
 //
 // -par N bounds the worker pool: independent experiment identifiers run
 // concurrently, and each ported experiment additionally fans its sweep
@@ -86,6 +61,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -106,56 +82,43 @@ import (
 )
 
 func main() {
-	os.Exit(mainErr())
+	os.Exit(mainErr(os.Args[1:]))
 }
 
-// mainErr is main with an exit code, so deferred profile/trace writers
-// run before the process exits.
-func mainErr() int {
-	list := flag.Bool("list", false, "list experiment identifiers and exit")
-	version := flag.Bool("version", false, "print the module version and build info, then exit")
-	format := flag.String("format", "table", "output format: table, csv or json")
-	csvOut := flag.Bool("csv", false, "deprecated alias for -format csv")
-	outDir := flag.String("o", "", "write per-experiment result files plus manifest.json into this directory")
-	idList := flag.String("id", "", "comma-separated experiment identifiers (merged with positional arguments)")
-	scenarioFile := flag.String("scenario", "", "replay a recorded scenario file (explicit flags override its fields)")
-	recordFile := flag.String("record", "", "record the effective scenario as JSON into this file before running")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event timeline of trace-aware experiments to this file")
-	traceBuf := flag.Int("tracebuf", obs.DefaultCapacity, "trace ring-buffer capacity in events (oldest evicted on overflow)")
-	par := flag.Int("par", 0, "max concurrent sweep workers (0 = GOMAXPROCS, 1 = serial)")
-	verbose := flag.Bool("v", false, "report sweep progress on stderr")
-	queries := flag.Int("queries", 0, "dataset experiments: queries per dataset (0 = default)")
-	seed := flag.Int64("seed", 0, "dataset experiments: sampling seed (0 = default)")
-	scale := flag.Int64("scale", 0, "tab1: memory down-scale factor (0 = default 8, 1 = paper-size)")
-	rates := flag.String("rates", "", "serving2: comma-separated arrival rates in q/s (empty = default)")
-	replicas := flag.String("replicas", "", "serving2: comma-separated replica counts (empty = default)")
-	modes := flag.String("modes", "", "serving2: comma-separated modes (serial, cooperative, relayout-hybrid)")
-	queueCap := flag.Int("queuecap", -1, "serving2/resilience: admission queue capacity (0 = unbounded, -1 = default)")
-	slo := flag.Float64("slo", -1, "serving2/resilience: TTLT goodput deadline in seconds (0 = none, -1 = default)")
-	faults := flag.String("faults", "", "resilience: comma-separated lane MTBFs in seconds (empty = default)")
-	faultSeed := flag.Int64("faultseed", 0, "resilience: fault-scenario seed (0 = default)")
-	policy := flag.String("policy", "", "resilience: comma-separated degradation policies (none, soc-fallback, failover)")
-	clusterRun := flag.Bool("cluster", false, "shorthand: run the cluster experiment (equivalent to the 'cluster' identifier)")
-	strategy := flag.String("strategy", "", "cluster: comma-separated balancing strategies (round-robin, least-loaded, latency-weighted, slo-tiered; empty = all)")
-	fleet := flag.String("fleet", "", "cluster: device-class roster as platform[/macN]:count comma list (empty = default)")
-	devices := flag.Int("devices", 0, "cluster: rescale the fleet to this many devices, preserving the class mix (0 = keep roster counts)")
-	rate := flag.Float64("rate", 0, "cluster: cluster-wide arrival rate in q/s (0 = default)")
-	sync_ := flag.Float64("sync", 0, "cluster: telemetry-barrier interval in virtual seconds (0 = default)")
-	steal := flag.Bool("steal", true, "cluster: add cross-device migration (+steal) rows to the strategy sweep")
-	stealThreshold := flag.Int("stealthreshold", -1, "cluster: in-system depth that triggers stealing from a healthy device (0 = breaker-driven only, -1 = default)")
-	stealScore := flag.String("stealscore", "", "cluster: steal-destination scoring, depth or latency (empty = default)")
-	tuneRun := flag.Bool("tune", false, "shorthand: run the maptune experiment (equivalent to the 'maptune' identifier)")
-	tuneBudget := flag.Int("tunebudget", 0, "maptune: candidate budget per (platform, workload) cell (0 = default)")
-	tuneSeed := flag.Int64("tuneseed", 0, "maptune: mutation-stream seed (0 = default)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: facilsim [flags] [experiment ...]\n\nexperiments: %s\n\n",
+// mainErr is main over args with an exit code, so deferred
+// profile/trace writers run before the process exits and tests can
+// drive the CLI in-process.
+func mainErr(args []string) int {
+	fs := flag.NewFlagSet("facilsim", flag.ContinueOnError)
+	list := fs.Bool("list", false, "list experiment identifiers and exit")
+	version := fs.Bool("version", false, "print the module version and build info, then exit")
+	format := fs.String("format", "table", "output format: table, csv or json")
+	csvOut := fs.Bool("csv", false, "deprecated alias for -format csv")
+	outDir := fs.String("o", "", "write per-experiment result files plus manifest.json into this directory")
+	idList := fs.String("id", "", "comma-separated experiment identifiers (merged with positional arguments)")
+	scenarioFile := fs.String("scenario", "", "replay a recorded scenario file (explicit flags override its fields)")
+	recordFile := fs.String("record", "", "record the effective scenario as JSON into this file before running")
+	traceFile := fs.String("trace", "", "write a Chrome trace-event timeline of trace-aware experiments to this file")
+	traceBuf := fs.Int("tracebuf", obs.DefaultCapacity, "trace ring-buffer capacity in events (oldest evicted on overflow)")
+	par := fs.Int("par", 0, "max concurrent sweep workers (0 = GOMAXPROCS, 1 = serial)")
+	verbose := fs.Bool("v", false, "report sweep progress on stderr")
+	clusterRun := fs.Bool("cluster", false, "shorthand: run the cluster experiment (equivalent to the 'cluster' identifier)")
+	tuneRun := fs.Bool("tune", false, "shorthand: run the maptune experiment (equivalent to the 'maptune' identifier)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file at exit")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	overlay := run.BindFlags(fs)
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: facilsim [flags] [experiment ...]\n\nexperiments: %s\n\n",
 			strings.Join(exp.AllIDs, " "))
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *version {
 		fmt.Println(obs.CurrentBuild())
@@ -228,75 +191,8 @@ func mainErr() int {
 			return 1
 		}
 	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["queries"] {
-		sc.Queries = *queries
-	}
-	if set["seed"] {
-		sc.Seed = *seed
-	}
-	if set["scale"] {
-		sc.Scale = *scale
-	}
-	if set["rates"] {
-		sc.Rates = *rates
-	}
-	if set["replicas"] {
-		sc.Replicas = *replicas
-	}
-	if set["modes"] {
-		sc.Modes = *modes
-	}
-	if set["queuecap"] {
-		sc.QueueCap = *queueCap
-	}
-	if set["slo"] {
-		sc.SLO = *slo
-	}
-	if set["faults"] {
-		sc.Faults = *faults
-	}
-	if set["faultseed"] {
-		sc.FaultSeed = *faultSeed
-	}
-	if set["policy"] {
-		sc.Policy = *policy
-	}
-	if set["strategy"] {
-		sc.Strategy = *strategy
-	}
-	if set["fleet"] {
-		sc.Fleet = *fleet
-	}
-	if set["devices"] {
-		sc.Devices = *devices
-	}
-	if set["rate"] {
-		sc.Rate = *rate
-	}
-	if set["sync"] {
-		sc.Sync = *sync_
-	}
-	if set["steal"] {
-		sc.Steal = 0
-		if *steal {
-			sc.Steal = 1
-		}
-	}
-	if set["stealthreshold"] {
-		sc.StealThreshold = *stealThreshold
-	}
-	if set["stealscore"] {
-		sc.StealScore = *stealScore
-	}
-	if set["tunebudget"] {
-		sc.TuneBudget = *tuneBudget
-	}
-	if set["tuneseed"] {
-		sc.TuneSeed = *tuneSeed
-	}
-	ids := flag.Args()
+	overlay(&sc)
+	ids := fs.Args()
 	for _, id := range strings.Split(*idList, ",") {
 		if id = strings.TrimSpace(id); id != "" {
 			ids = append(ids, id)

@@ -100,9 +100,12 @@ func TestSubmitRunsToCompletion(t *testing.T) {
 func TestSubmitRejectsBadScenarios(t *testing.T) {
 	_, ts := testServer(t, Options{})
 	for _, body := range []string{
-		`{"experiments": ["fig99"]}`, // unknown experiment
-		`{"quries": 5}`,              // unknown field
-		`{"rates": "potato"}`,        // unparsable sweep
+		`{"experiments": ["fig99"]}`,              // unknown experiment
+		`{"quries": 5}`,                           // unknown field
+		`{"rates": "potato"}`,                     // unparsable sweep
+		`{"rates": "NaN"}`,                        // non-finite sweep entry
+		`{"queuecap": -5, "stealthreshold": -9}`,  // below the -1 sentinel
+		`{"steal": 7, "queuecap": -5, "slo": -3}`, // steal outside {-1, 0, 1}
 	} {
 		if _, resp := postScenario(t, ts.URL, "/runs", body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("submit %s: status %d, want 400", body, resp.StatusCode)

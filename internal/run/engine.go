@@ -191,10 +191,10 @@ func (e *Engine) launch(ctx context.Context, ids []string, sc Scenario) []pendin
 }
 
 // runOne dispatches one experiment, honoring the scenario's overrides
-// for the parameterizable ones. A negative size fails the experiment
-// rather than falling back to its default.
+// for the parameterizable ones. An out-of-range knob fails the
+// experiment rather than falling back to its default.
 func (e *Engine) runOne(ctx context.Context, id string, sc Scenario) ([]exp.Table, error) {
-	if err := sc.checkSizes(); err != nil {
+	if err := sc.checkKnobs(); err != nil {
 		return nil, err
 	}
 	switch id {
@@ -239,9 +239,7 @@ func (e *Engine) runOne(ctx context.Context, id string, sc Scenario) ([]exp.Tabl
 		return e.lab.Cluster(ctx, cfg)
 	case "maptune":
 		cfg := exp.DefaultMapTuneConfig()
-		if err := sc.applyMapTune(&cfg); err != nil {
-			return nil, err
-		}
+		sc.applyMapTune(&cfg)
 		return e.lab.MapTune(ctx, cfg)
 	case "fig15", "fig16":
 		if sc.Queries <= 0 && sc.Seed == 0 {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -113,24 +114,27 @@ func TestValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("unknown stealscore accepted")
 	}
-	// 0 selects each size's default, so a negative size must be
-	// rejected, not silently replaced by the default.
-	for _, c := range []struct {
-		field string
-		set   func(*Scenario)
-	}{
-		{"queries", func(sc *Scenario) { sc.Queries = -5 }},
-		{"devices", func(sc *Scenario) { sc.Devices = -1 }},
-		{"scale", func(sc *Scenario) { sc.Scale = -8 }},
-		{"rate", func(sc *Scenario) { sc.Rate = -0.5 }},
-		{"sync", func(sc *Scenario) { sc.Sync = -1 }},
-		{"tunebudget", func(sc *Scenario) { sc.TuneBudget = -3 }},
-	} {
+	// 0 or -1 selects each knob's default, so a value below it or a
+	// non-finite float must be rejected, not silently replaced by the
+	// default.
+	for _, c := range outOfRange {
 		bad = DefaultScenario()
 		c.set(&bad)
 		err := bad.Validate()
 		if err == nil || !strings.Contains(err.Error(), c.field) {
 			t.Errorf("negative %s: Validate() = %v, want a %s error", c.field, err, c.field)
+		}
+	}
+	for _, set := range []func(*Scenario){
+		func(sc *Scenario) { sc.QueueCap, sc.SLO, sc.StealThreshold = -1, -1, -1 },
+		func(sc *Scenario) { sc.Steal = 0 },
+		func(sc *Scenario) { sc.Steal = 1 },
+		func(sc *Scenario) { sc.Seed, sc.FaultSeed, sc.TuneSeed = -7, -8, -9 },
+	} {
+		ok := DefaultScenario()
+		set(&ok)
+		if err := ok.Validate(); err != nil {
+			t.Errorf("in-range knobs %+v rejected: %v", ok, err)
 		}
 	}
 	ok := DefaultScenario()
@@ -140,6 +144,33 @@ func TestValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid stealscore/tune fields rejected: %v", err)
 	}
+}
+
+// outOfRange lists one out-of-range value per bounded knob, named by
+// the knob the error must cite.
+var outOfRange = []struct {
+	field string
+	set   func(*Scenario)
+}{
+	{"queries", func(sc *Scenario) { sc.Queries = -5 }},
+	{"devices", func(sc *Scenario) { sc.Devices = -1 }},
+	{"scale", func(sc *Scenario) { sc.Scale = -8 }},
+	{"rate", func(sc *Scenario) { sc.Rate = -0.5 }},
+	{"rate", func(sc *Scenario) { sc.Rate = math.NaN() }},
+	{"rate", func(sc *Scenario) { sc.Rate = math.Inf(1) }},
+	{"sync", func(sc *Scenario) { sc.Sync = -1 }},
+	{"sync", func(sc *Scenario) { sc.Sync = math.NaN() }},
+	{"tunebudget", func(sc *Scenario) { sc.TuneBudget = -3 }},
+	{"queuecap", func(sc *Scenario) { sc.QueueCap = -5 }},
+	{"slo", func(sc *Scenario) { sc.SLO = -3 }},
+	{"slo", func(sc *Scenario) { sc.SLO = math.NaN() }},
+	{"slo", func(sc *Scenario) { sc.SLO = math.Inf(1) }},
+	{"stealthreshold", func(sc *Scenario) { sc.StealThreshold = -9 }},
+	{"steal", func(sc *Scenario) { sc.Steal = 7 }},
+	{"steal", func(sc *Scenario) { sc.Steal = -2 }},
+	{"rates", func(sc *Scenario) { sc.Rates = "1,NaN" }},
+	{"rates", func(sc *Scenario) { sc.Rates = "+Inf" }},
+	{"faults", func(sc *Scenario) { sc.Faults = "NaN" }},
 }
 
 // cheapEngine builds an engine suitable for fast registry-driven tests.
@@ -188,18 +219,48 @@ func TestExecuteOrderAndFailures(t *testing.T) {
 }
 
 // TestExecuteRejectsNegativeSizes covers the CLI path, which skips
-// Validate: a negative size must fail the run loudly instead of running
-// the experiment at its default size.
+// Validate: an out-of-range knob must fail the run loudly instead of
+// running the experiment at its default.
 func TestExecuteRejectsNegativeSizes(t *testing.T) {
-	sc := DefaultScenario()
-	sc.Experiments = []string{"tab2"}
-	sc.Queries = -5
-	rep, err := cheapEngine(t).Execute(context.Background(), sc, ExecOpts{})
-	if err != nil {
-		t.Fatal(err)
+	eng := cheapEngine(t)
+	for _, c := range outOfRange {
+		sc := DefaultScenario()
+		c.set(&sc)
+		// A sweep list fails only the experiments that parse it; a
+		// scalar knob fails even an experiment that ignores it.
+		sc.Experiments = []string{"tab2", "serving2", "resilience"}
+		rep, err := eng.Execute(context.Background(), sc, ExecOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sweep := c.field == "rates" || c.field == "faults"
+		failed := 0
+		for _, res := range rep.Results {
+			if res.Error == "" {
+				continue
+			}
+			failed++
+			if !strings.Contains(res.Error, "bad "+c.field) || res.Tables != nil {
+				t.Errorf("%s with bad %s = %+v, want a bad-%s error", res.ID, c.field, res, c.field)
+			}
+		}
+		if failed == 0 || !sweep && failed != len(rep.Results) {
+			t.Errorf("bad %s failed %d of %d experiments", c.field, failed, len(rep.Results))
+		}
 	}
-	if !strings.Contains(rep.Results[0].Error, "bad queries") || rep.Results[0].Tables != nil {
-		t.Errorf("tab2 with queries=-5 = %+v, want a bad-queries error", rep.Results[0])
+}
+
+// TestSaveLeavesNoFileOnError: a scenario JSON cannot carry (a NaN SLO)
+// fails Save without creating, truncating or half-writing the file.
+func TestSaveLeavesNoFileOnError(t *testing.T) {
+	sc := DefaultScenario()
+	sc.SLO = math.NaN()
+	path := filepath.Join(t.TempDir(), "sc.json")
+	if err := sc.Save(path); err == nil {
+		t.Fatal("Save accepted a NaN SLO")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("failed Save left %s behind (stat: %v)", path, err)
 	}
 }
 

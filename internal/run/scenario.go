@@ -9,9 +9,12 @@ package run
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -24,12 +27,14 @@ import (
 // plus the parameter overrides the CLI exposes as flags. The JSON form
 // is the daemon's POST /runs body and the record/replay file format;
 // field names mirror the facilsim flag names, so a recorded scenario
-// reads like the command line that produced it.
+// reads like the command line that produced it. Every field after
+// Experiments is a knob with one row in the knobs table.
 //
-// QueueCap and SLO use -1 (the CLI flag default) for "keep the
-// experiment's own default", because 0 is meaningful for both (0 =
-// unbounded queue / no SLO). Decode layers JSON over DefaultScenario so
-// omitted fields keep that semantics.
+// QueueCap, SLO, Steal and StealThreshold use -1 (the CLI flag default)
+// for "keep the experiment's own default", because 0 is meaningful for
+// each (unbounded queue, no SLO, migration off, breaker-driven stealing
+// only). Decode layers JSON over DefaultScenario so omitted fields keep
+// that semantics.
 type Scenario struct {
 	// Experiments lists the identifiers to run, in order (empty = every
 	// experiment in DESIGN.md order). Merged from positional arguments
@@ -104,11 +109,210 @@ type Scenario struct {
 	TuneSeed int64 `json:"tuneseed,omitempty"`
 }
 
+// A knob is one row of the scenario override table: a Scenario field
+// after Experiments, exposed as a facilsim flag and a JSON key.
+type knob struct {
+	// name is the flag name and the JSON key.
+	name  string
+	usage string
+	// field returns the knob's Scenario field: *int, *int64, *float64,
+	// *string, or *tristate for the bool-flagged Steal.
+	field func(*Scenario) any
+	// keep is the numeric value that keeps the experiment default: 0,
+	// or -1 where 0 is meaningful. String knobs keep it with "".
+	keep float64
+	// min is the lowest accepted numeric value besides keep (-Inf for
+	// seeds). NaN and ±Inf are never accepted.
+	min float64
+}
+
+// knobs lists every scenario override once, in Scenario field order
+// (which is also the Args order). facilsim's flags, its -scenario
+// overlay, Args, DefaultScenario and the range check all derive from
+// it, so a new knob is one Scenario field plus one row here.
+var knobs = []knob{
+	{name: "queries", usage: "dataset experiments: queries per dataset (0 = default)",
+		field: func(s *Scenario) any { return &s.Queries }},
+	{name: "seed", usage: "dataset experiments: sampling seed (0 = default)",
+		field: func(s *Scenario) any { return &s.Seed }, min: math.Inf(-1)},
+	{name: "scale", usage: "tab1: memory down-scale factor (0 = default 8, 1 = paper-size)",
+		field: func(s *Scenario) any { return &s.Scale }},
+	{name: "rates", usage: "serving2: comma-separated arrival rates in q/s (empty = default)",
+		field: func(s *Scenario) any { return &s.Rates }},
+	{name: "replicas", usage: "serving2: comma-separated replica counts (empty = default)",
+		field: func(s *Scenario) any { return &s.Replicas }},
+	{name: "modes", usage: "serving2: comma-separated modes (serial, cooperative, relayout-hybrid)",
+		field: func(s *Scenario) any { return &s.Modes }},
+	{name: "queuecap", usage: "serving2/resilience: admission queue capacity (0 = unbounded, -1 = default)",
+		field: func(s *Scenario) any { return &s.QueueCap }, keep: -1},
+	{name: "slo", usage: "serving2/resilience: TTLT goodput deadline in seconds (0 = none, -1 = default)",
+		field: func(s *Scenario) any { return &s.SLO }, keep: -1},
+	{name: "faults", usage: "resilience: comma-separated lane MTBFs in seconds (empty = default)",
+		field: func(s *Scenario) any { return &s.Faults }},
+	{name: "faultseed", usage: "resilience: fault-scenario seed (0 = default)",
+		field: func(s *Scenario) any { return &s.FaultSeed }, min: math.Inf(-1)},
+	{name: "policy", usage: "resilience: comma-separated degradation policies (none, soc-fallback, failover)",
+		field: func(s *Scenario) any { return &s.Policy }},
+	{name: "strategy", usage: "cluster: comma-separated balancing strategies (round-robin, least-loaded, latency-weighted, slo-tiered; empty = all)",
+		field: func(s *Scenario) any { return &s.Strategy }},
+	{name: "fleet", usage: "cluster: device-class roster as platform[/macN]:count comma list (empty = default)",
+		field: func(s *Scenario) any { return &s.Fleet }},
+	{name: "devices", usage: "cluster: rescale the fleet to this many devices, preserving the class mix (0 = keep roster counts)",
+		field: func(s *Scenario) any { return &s.Devices }},
+	{name: "rate", usage: "cluster: cluster-wide arrival rate in q/s (0 = default)",
+		field: func(s *Scenario) any { return &s.Rate }},
+	{name: "sync", usage: "cluster: telemetry-barrier interval in virtual seconds (0 = default)",
+		field: func(s *Scenario) any { return &s.Sync }},
+	{name: "steal", usage: "cluster: add cross-device migration (+steal) rows to the strategy sweep",
+		field: func(s *Scenario) any { return (*tristate)(&s.Steal) }, keep: -1},
+	{name: "stealthreshold", usage: "cluster: in-system depth that triggers stealing from a healthy device (0 = breaker-driven only, -1 = default)",
+		field: func(s *Scenario) any { return &s.StealThreshold }, keep: -1},
+	{name: "stealscore", usage: "cluster: steal-destination scoring, depth or latency (empty = default)",
+		field: func(s *Scenario) any { return &s.StealScore }},
+	{name: "tunebudget", usage: "maptune: candidate budget per (platform, workload) cell (0 = default)",
+		field: func(s *Scenario) any { return &s.TuneBudget }},
+	{name: "tuneseed", usage: "maptune: mutation-stream seed (0 = default)",
+		field: func(s *Scenario) any { return &s.TuneSeed }, min: math.Inf(-1)},
+}
+
+// tristate is Steal's flag form: a bool flag over 1 (on), 0 (off) and
+// -1 (keep the default, which is on, so it reads as true).
+type tristate int
+
+func (t *tristate) String() string   { return strconv.FormatBool(*t != 0) }
+func (t *tristate) IsBoolFlag() bool { return true }
+func (t *tristate) Set(s string) error {
+	on, err := strconv.ParseBool(s)
+	if err != nil {
+		return err
+	}
+	*t = 0
+	if on {
+		*t = 1
+	}
+	return nil
+}
+
+// value returns k's field in sc.
+func (k knob) value(sc *Scenario) reflect.Value { return reflect.ValueOf(k.field(sc)).Elem() }
+
+// num returns a numeric knob's value; ok is false for a string knob.
+func (k knob) num(sc *Scenario) (float64, bool) {
+	switch v := k.value(sc); {
+	case v.CanInt():
+		return float64(v.Int()), true
+	case v.CanFloat():
+		return v.Float(), true
+	}
+	return 0, false
+}
+
+// bind registers k on fs as a flag over its field in sc, with the
+// field's current value as the flag default.
+func (k knob) bind(fs *flag.FlagSet, sc *Scenario) {
+	switch p := k.field(sc).(type) {
+	case *int:
+		fs.IntVar(p, k.name, *p, k.usage)
+	case *int64:
+		fs.Int64Var(p, k.name, *p, k.usage)
+	case *float64:
+		fs.Float64Var(p, k.name, *p, k.usage)
+	case *string:
+		fs.StringVar(p, k.name, *p, k.usage)
+	case *tristate:
+		fs.Var(p, k.name, k.usage)
+	}
+}
+
+// args renders k in flag form, or nil while it keeps the default.
+func (k knob) args(sc *Scenario) []string {
+	if v, ok := k.num(sc); ok && v == k.keep {
+		return nil
+	}
+	name := "-" + k.name
+	switch p := k.field(sc).(type) {
+	case *int:
+		return []string{name, strconv.Itoa(*p)}
+	case *int64:
+		return []string{name, strconv.FormatInt(*p, 10)}
+	case *float64:
+		return []string{name, strconv.FormatFloat(*p, 'g', -1, 64)}
+	case *tristate:
+		return []string{name + "=" + p.String()}
+	case *string:
+		if *p != "" {
+			return []string{name, *p}
+		}
+	}
+	return nil
+}
+
+// check rejects a non-finite float, a value other than keep below k's
+// bound, and a steal outside {-1, 0, 1}. keep already selects the
+// experiment default, so any other out-of-range value is a mistake,
+// never a request for the default.
+func (k knob) check(sc *Scenario) error {
+	v, ok := k.num(sc)
+	_, tri := k.field(sc).(*tristate)
+	switch {
+	case !ok || v == k.keep:
+		return nil
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return fmt.Errorf("run: bad %s %g (want a finite number)", k.name, v)
+	case tri && v != 0 && v != 1:
+		return fmt.Errorf("run: bad %s %g (want -1, 0 or 1)", k.name, v)
+	case v < k.min && k.keep < k.min:
+		return fmt.Errorf("run: bad %s %g (want %g or >= %g)", k.name, v, k.keep, k.min)
+	case v < k.min:
+		return fmt.Errorf("run: bad %s %g (want >= %g)", k.name, v, k.min)
+	}
+	return nil
+}
+
+// checkKnobs range-checks every knob. Validate and Engine.runOne both
+// call it, so the daemon answers 400 and the CLI fails the run.
+func (sc *Scenario) checkKnobs() error {
+	for _, k := range knobs {
+		if err := k.check(sc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// BindFlags registers one flag per knob on fs, each defaulting to "keep
+// the experiment default". The returned overlay copies every knob flag
+// the command line set explicitly into a scenario, so explicit flags
+// override a replayed file and the rest of it stands.
+func BindFlags(fs *flag.FlagSet) (overlay func(*Scenario)) {
+	flags := DefaultScenario()
+	for _, k := range knobs {
+		k.bind(fs, &flags)
+	}
+	return func(sc *Scenario) {
+		fs.Visit(func(f *flag.Flag) {
+			for _, k := range knobs {
+				if k.name == f.Name {
+					k.value(sc).Set(k.value(&flags))
+				}
+			}
+		})
+	}
+}
+
 // DefaultScenario returns the scenario matching facilsim's flag
-// defaults: every experiment, every override at its "experiment
-// default" sentinel.
+// defaults: every experiment, every knob at its "keep the experiment
+// default" value.
 func DefaultScenario() Scenario {
-	return Scenario{QueueCap: -1, SLO: -1, Steal: -1, StealThreshold: -1}
+	var sc Scenario
+	for _, k := range knobs {
+		if v := k.value(&sc); v.CanInt() {
+			v.SetInt(int64(k.keep))
+		} else if v.CanFloat() {
+			v.SetFloat(k.keep)
+		}
+	}
+	return sc
 }
 
 // Decode parses one scenario JSON document layered over the defaults,
@@ -140,19 +344,18 @@ func Load(path string) (Scenario, error) {
 }
 
 // Save records the scenario as an indented JSON file a later -scenario
-// flag or daemon POST can replay.
+// flag or daemon POST can replay. It range-checks the knobs and encodes
+// before it creates the file, so a scenario that cannot replay (a NaN
+// SLO, which JSON cannot carry) leaves no file behind.
 func (sc Scenario) Save(path string) error {
-	f, err := os.Create(path)
+	if err := sc.checkKnobs(); err != nil {
+		return err
+	}
+	data, err := json.MarshalIndent(sc, "", "  ")
 	if err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(sc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(path, append(data, '\n'), 0o666)
 }
 
 // IDs returns the experiment identifiers the scenario runs: its
@@ -164,67 +367,28 @@ func (sc Scenario) IDs() []string {
 	return exp.AllIDs
 }
 
-// Args renders the scenario back to its canonical facilsim flag form.
+// Args renders the scenario back to its canonical facilsim flag form:
+// -id, then every knob that differs from its default, in table order.
 // Manifests stamp it as the run's command line, so a daemon-produced
 // report names the CLI invocation that reproduces it.
 func (sc Scenario) Args() []string {
 	var args []string
-	str := func(flag, v string) {
-		if v != "" {
-			args = append(args, "-"+flag, v)
-		}
-	}
-	num := func(flag string, v int64) {
-		if v != 0 {
-			args = append(args, "-"+flag, strconv.FormatInt(v, 10))
-		}
-	}
 	if len(sc.Experiments) > 0 {
-		str("id", strings.Join(sc.Experiments, ","))
+		args = append(args, "-id", strings.Join(sc.Experiments, ","))
 	}
-	num("queries", int64(sc.Queries))
-	num("seed", sc.Seed)
-	num("scale", sc.Scale)
-	str("rates", sc.Rates)
-	str("replicas", sc.Replicas)
-	str("modes", sc.Modes)
-	if sc.QueueCap >= 0 {
-		args = append(args, "-queuecap", strconv.Itoa(sc.QueueCap))
+	for _, k := range knobs {
+		args = append(args, k.args(&sc)...)
 	}
-	if sc.SLO >= 0 {
-		args = append(args, "-slo", strconv.FormatFloat(sc.SLO, 'g', -1, 64))
-	}
-	str("faults", sc.Faults)
-	num("faultseed", sc.FaultSeed)
-	str("policy", sc.Policy)
-	str("strategy", sc.Strategy)
-	str("fleet", sc.Fleet)
-	num("devices", int64(sc.Devices))
-	if sc.Rate > 0 {
-		args = append(args, "-rate", strconv.FormatFloat(sc.Rate, 'g', -1, 64))
-	}
-	if sc.Sync > 0 {
-		args = append(args, "-sync", strconv.FormatFloat(sc.Sync, 'g', -1, 64))
-	}
-	if sc.Steal >= 0 {
-		args = append(args, "-steal="+strconv.FormatBool(sc.Steal != 0))
-	}
-	if sc.StealThreshold >= 0 {
-		args = append(args, "-stealthreshold", strconv.Itoa(sc.StealThreshold))
-	}
-	str("stealscore", sc.StealScore)
-	num("tunebudget", int64(sc.TuneBudget))
-	num("tuneseed", sc.TuneSeed)
 	return args
 }
 
-// Validate resolves every experiment identifier and parses every sweep
-// list, returning the first problem. The daemon rejects a bad scenario
-// at submission with this; the CLI instead lets unknown identifiers
-// surface as per-experiment failures so one typo cannot take down a
-// batch of valid experiments.
+// Validate range-checks every knob, resolves every experiment
+// identifier and parses every sweep list, returning the first problem.
+// The daemon rejects a bad scenario at submission with this; the CLI
+// instead lets unknown identifiers surface as per-experiment failures
+// so one typo cannot take down a batch of valid experiments.
 func (sc Scenario) Validate() error {
-	if err := sc.checkSizes(); err != nil {
+	if err := sc.checkKnobs(); err != nil {
 		return err
 	}
 	for _, id := range sc.Experiments {
@@ -241,134 +405,52 @@ func (sc Scenario) Validate() error {
 		return err
 	}
 	cc := exp.DefaultClusterConfig()
-	if err := sc.applyCluster(&cc); err != nil {
-		return err
-	}
-	mt := exp.DefaultMapTuneConfig()
-	if err := sc.applyMapTune(&mt); err != nil {
-		return err
-	}
-	return nil
+	return sc.applyCluster(&cc)
 }
 
-// checkSizes rejects negative sizes. 0 already selects the experiment
-// default, so a negative value is a mistake, never a request for the
-// default.
-func (sc Scenario) checkSizes() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"queries", float64(sc.Queries)},
-		{"devices", float64(sc.Devices)},
-		{"scale", float64(sc.Scale)},
-		{"rate", sc.Rate},
-		{"sync", sc.Sync},
-		{"tunebudget", float64(sc.TuneBudget)},
-	} {
-		if f.v < 0 {
-			return fmt.Errorf("run: bad %s %g (want >= 0)", f.name, f.v)
-		}
+// applyServing folds the overrides every serving experiment shares: the
+// query count and seed, the admission-queue bound and the SLO.
+func (sc Scenario) applyServing(queries *int, seed *int64, queueCap *int, slo *float64) {
+	if sc.Queries > 0 {
+		*queries = sc.Queries
 	}
-	return nil
+	if sc.Seed != 0 {
+		*seed = sc.Seed
+	}
+	if sc.QueueCap >= 0 {
+		*queueCap = sc.QueueCap
+	}
+	if sc.SLO >= 0 {
+		*slo = sc.SLO
+	}
 }
 
 // applyServing2 folds the scenario's overrides into a serving2 config.
 func (sc Scenario) applyServing2(cfg *exp.Serving2Config) error {
-	if sc.Queries > 0 {
-		cfg.Queries = sc.Queries
+	sc.applyServing(&cfg.Queries, &cfg.Seed, &cfg.QueueCap, &cfg.DeadlineTTLT)
+	if err := parseList(&cfg.Rates, sc.Rates, rateEntry); err != nil {
+		return err
 	}
-	if sc.Seed != 0 {
-		cfg.Seed = sc.Seed
+	if err := parseList(&cfg.Replicas, sc.Replicas, replicaEntry); err != nil {
+		return err
 	}
-	if sc.QueueCap >= 0 {
-		cfg.QueueCap = sc.QueueCap
-	}
-	if sc.SLO >= 0 {
-		cfg.DeadlineTTLT = sc.SLO
-	}
-	if sc.Rates != "" {
-		cfg.Rates = cfg.Rates[:0]
-		for _, f := range strings.Split(sc.Rates, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || r <= 0 {
-				return fmt.Errorf("run: bad rates entry %q", f)
-			}
-			cfg.Rates = append(cfg.Rates, r)
-		}
-	}
-	if sc.Replicas != "" {
-		cfg.Replicas = cfg.Replicas[:0]
-		for _, f := range strings.Split(sc.Replicas, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n <= 0 {
-				return fmt.Errorf("run: bad replicas entry %q", f)
-			}
-			cfg.Replicas = append(cfg.Replicas, n)
-		}
-	}
-	if sc.Modes != "" {
-		cfg.Modes = cfg.Modes[:0]
-		for _, f := range strings.Split(sc.Modes, ",") {
-			m, err := serve.ParseMode(strings.TrimSpace(f))
-			if err != nil {
-				return err
-			}
-			cfg.Modes = append(cfg.Modes, m)
-		}
-	}
-	return nil
+	return parseList(&cfg.Modes, sc.Modes, serve.ParseMode)
 }
 
 // applyResilience folds the scenario's overrides into a resilience
 // config.
 func (sc Scenario) applyResilience(cfg *exp.ResilienceConfig) error {
-	if sc.Queries > 0 {
-		cfg.Queries = sc.Queries
-	}
-	if sc.Seed != 0 {
-		cfg.Seed = sc.Seed
-	}
+	sc.applyServing(&cfg.Queries, &cfg.Seed, &cfg.QueueCap, &cfg.DeadlineTTLT)
 	if sc.FaultSeed != 0 {
 		cfg.FaultSeed = sc.FaultSeed
 	}
-	if sc.QueueCap >= 0 {
-		cfg.QueueCap = sc.QueueCap
+	if err := parseList(&cfg.LaneMTBFs, sc.Faults, mtbfEntry); err != nil {
+		return err
 	}
-	if sc.SLO >= 0 {
-		cfg.DeadlineTTLT = sc.SLO
+	if err := parseList(&cfg.Policies, sc.Policy, serve.ParsePolicy); err != nil {
+		return err
 	}
-	if sc.Faults != "" {
-		cfg.LaneMTBFs = cfg.LaneMTBFs[:0]
-		for _, f := range strings.Split(sc.Faults, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || v <= 0 {
-				return fmt.Errorf("run: bad faults entry %q (want a positive MTBF in seconds)", f)
-			}
-			cfg.LaneMTBFs = append(cfg.LaneMTBFs, v)
-		}
-	}
-	if sc.Policy != "" {
-		cfg.Policies = cfg.Policies[:0]
-		for _, f := range strings.Split(sc.Policy, ",") {
-			p, err := serve.ParsePolicy(strings.TrimSpace(f))
-			if err != nil {
-				return err
-			}
-			cfg.Policies = append(cfg.Policies, p)
-		}
-	}
-	if sc.Modes != "" {
-		cfg.Modes = cfg.Modes[:0]
-		for _, f := range strings.Split(sc.Modes, ",") {
-			m, err := serve.ParseMode(strings.TrimSpace(f))
-			if err != nil {
-				return err
-			}
-			cfg.Modes = append(cfg.Modes, m)
-		}
-	}
-	return nil
+	return parseList(&cfg.Modes, sc.Modes, serve.ParseMode)
 }
 
 // applyCluster folds the scenario's overrides into a cluster config.
@@ -378,20 +460,9 @@ func (sc Scenario) applyResilience(cfg *exp.ResilienceConfig) error {
 // degradation policy, and a single-entry Faults list overrides the
 // lane MTBF on the faulty fraction of the fleet.
 func (sc Scenario) applyCluster(cfg *exp.ClusterConfig) error {
-	if sc.Queries > 0 {
-		cfg.Queries = sc.Queries
-	}
-	if sc.Seed != 0 {
-		cfg.Seed = sc.Seed
-	}
+	sc.applyServing(&cfg.Queries, &cfg.Seed, &cfg.QueueCap, &cfg.DeadlineTTLT)
 	if sc.FaultSeed != 0 {
 		cfg.FaultSeed = sc.FaultSeed
-	}
-	if sc.QueueCap >= 0 {
-		cfg.QueueCap = sc.QueueCap
-	}
-	if sc.SLO >= 0 {
-		cfg.DeadlineTTLT = sc.SLO
 	}
 	if sc.Rate > 0 {
 		cfg.Rate = sc.Rate
@@ -399,47 +470,38 @@ func (sc Scenario) applyCluster(cfg *exp.ClusterConfig) error {
 	if sc.Sync > 0 {
 		cfg.SyncInterval = sc.Sync
 	}
-	if sc.Strategy != "" {
-		cfg.Strategies = cfg.Strategies[:0]
-		for _, f := range strings.Split(sc.Strategy, ",") {
-			k, err := cluster.ParseStrategy(strings.TrimSpace(f))
-			if err != nil {
-				return err
-			}
-			cfg.Strategies = append(cfg.Strategies, k)
-		}
+	if err := parseList(&cfg.Strategies, sc.Strategy, cluster.ParseStrategy); err != nil {
+		return err
 	}
 	if sc.Fleet != "" {
-		classes, err := cluster.ParseFleet(sc.Fleet)
+		fleet, err := cluster.ParseFleet(sc.Fleet)
 		if err != nil {
 			return err
 		}
-		cfg.Fleet = classes
+		cfg.Fleet = fleet
 	}
 	if sc.Devices > 0 {
 		cfg.Fleet = cluster.ScaleFleet(cfg.Fleet, sc.Devices)
 	}
-	if sc.Policy != "" {
-		ps := strings.Split(sc.Policy, ",")
-		if len(ps) != 1 {
-			return fmt.Errorf("run: the cluster experiment takes a single -policy, got %q", sc.Policy)
-		}
-		p, err := serve.ParsePolicy(strings.TrimSpace(ps[0]))
-		if err != nil {
-			return err
-		}
-		cfg.Policy = p
+	var policies []serve.Policy
+	if err := parseList(&policies, sc.Policy, serve.ParsePolicy); err != nil {
+		return err
 	}
-	if sc.Faults != "" {
-		fs := strings.Split(sc.Faults, ",")
-		if len(fs) != 1 {
-			return fmt.Errorf("run: the cluster experiment takes a single -faults MTBF, got %q", sc.Faults)
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(fs[0]), 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("run: bad faults entry %q (want a positive MTBF in seconds)", fs[0])
-		}
-		cfg.FaultMTBF = v
+	if len(policies) > 1 {
+		return fmt.Errorf("run: the cluster experiment takes a single -policy, got %q", sc.Policy)
+	}
+	if len(policies) == 1 {
+		cfg.Policy = policies[0]
+	}
+	var mtbfs []float64
+	if err := parseList(&mtbfs, sc.Faults, mtbfEntry); err != nil {
+		return err
+	}
+	if len(mtbfs) > 1 {
+		return fmt.Errorf("run: the cluster experiment takes a single -faults MTBF, got %q", sc.Faults)
+	}
+	if len(mtbfs) == 1 {
+		cfg.FaultMTBF = mtbfs[0]
 	}
 	if sc.Steal >= 0 {
 		cfg.Migration = sc.Steal != 0
@@ -459,13 +521,50 @@ func (sc Scenario) applyCluster(cfg *exp.ClusterConfig) error {
 	return nil
 }
 
+// parseList replaces *dst with the entries of a comma-separated sweep
+// override, each trimmed and parsed; an empty list keeps *dst.
+func parseList[T any](dst *[]T, list string, parse func(string) (T, error)) error {
+	if list == "" {
+		return nil
+	}
+	var out []T
+	for _, f := range strings.Split(list, ",") {
+		v, err := parse(strings.TrimSpace(f))
+		if err != nil {
+			return err
+		}
+		out = append(out, v)
+	}
+	*dst = out
+	return nil
+}
+
+// positive wraps a number parser for parseList: an entry that does not
+// parse, or is not finite and > 0, fails with the quoted entry in bad.
+func positive[T int | float64](parse func(string) (T, error), bad string) func(string) (T, error) {
+	return func(f string) (T, error) {
+		v, err := parse(f)
+		if err != nil || !(v > 0) || math.IsInf(float64(v), 1) {
+			return 0, fmt.Errorf(bad, f)
+		}
+		return v, nil
+	}
+}
+
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+var (
+	rateEntry    = positive(parseFloat, "run: bad rates entry %q")
+	replicaEntry = positive(strconv.Atoi, "run: bad replicas entry %q")
+	mtbfEntry    = positive(parseFloat, "run: bad faults entry %q (want a positive MTBF in seconds)")
+)
+
 // applyMapTune folds the scenario's overrides into a maptune config.
-func (sc Scenario) applyMapTune(cfg *exp.MapTuneConfig) error {
+func (sc Scenario) applyMapTune(cfg *exp.MapTuneConfig) {
 	if sc.TuneBudget > 0 {
 		cfg.Budget = sc.TuneBudget
 	}
 	if sc.TuneSeed != 0 {
 		cfg.Seed = sc.TuneSeed
 	}
-	return nil
 }

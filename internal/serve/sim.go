@@ -431,10 +431,11 @@ type sim struct {
 
 	// stepMain/stepSoC memoize DecodeStepSeconds by context length for
 	// the configured design and the SoC fallback path (0 = not yet
-	// cached; real latencies are positive). preStatic memoizes
-	// TTFTStatic by prefill length. The values come from the engine's
-	// own memoized cache, so reading them here changes nothing but the
-	// lookup cost.
+	// cached; real latencies are positive), a flat front of the
+	// engine's own keyed memo. preStatic memoizes TTFTStatic by prefill
+	// length, which the engine recomputes on every call (it has no
+	// memo). Both are pure in their argument, so the caches change
+	// nothing but the lookup cost.
 	stepMain  []float64
 	stepSoC   []float64
 	preStatic []float64
